@@ -30,7 +30,7 @@ int main() {
   IfdkOptions opts;
   opts.ranks = 16;
   opts.rows = 4;
-  const IfdkStats stats = run_distributed(scene.g, fs, opts);
+  const StreamingStats stats = run_distributed(scene.g, fs, opts);
   const Volume result = load_volume(fs, "vol/slice_", scene.g.vol_dims());
   const Volume reference =
       reconstruct_fdk(scene.g, scene.projections).volume;

@@ -38,14 +38,13 @@ struct Result {
   double gups = 0.0;  ///< voxel updates per second / 2^30
 };
 
-/// Distributed-pipeline smoke point: blocking vs overlapped wall time plus
-/// the overlapped run's per-thread overlap efficiencies (busy/wall of the
-/// critical rank) — the numbers that track the Fig. 4 overlap claim.
+/// Distributed-pipeline smoke point: one-volume run_distributed wall time
+/// plus its per-thread overlap efficiencies (busy/wall of the critical
+/// rank) — the numbers that track the Fig. 4 overlap claim.
 struct PipelineResult {
   int ranks = 4;
   int rows = 2;
-  double blocking_seconds = 0.0;
-  double overlapped_seconds = 0.0;
+  double seconds = 0.0;
   StageTimer efficiency;
 };
 
@@ -193,7 +192,9 @@ ServiceResult time_service(const bench::Scene& scene, int runs) {
   opts.ifdk.ranks = r.ranks;
   opts.ifdk.rows = r.rows;
   service::ServiceStats last;
+  std::size_t rejected = 0;
   r.seconds = bench::median_seconds(runs, [&] {
+    rejected = 0;
     pfs::ParallelFileSystem fs;
     service::ReconService svc(scene.g, fs, opts);
     for (int j = 0; j < r.jobs; ++j) {
@@ -211,6 +212,7 @@ ServiceResult time_service(const bench::Scene& scene, int runs) {
       service::ReconService reject_svc(scene.g, fs, tiny);
       reject_svc.submit(JobSpec{"in0/", "reject/slice_"});
     } catch (const service::AdmissionError&) {
+      ++rejected;
     }
     svc.drain();
     last = svc.stats();
@@ -218,7 +220,7 @@ ServiceResult time_service(const bench::Scene& scene, int runs) {
   r.jobs_per_second =
       r.seconds > 0.0 ? static_cast<double>(r.jobs) / r.seconds : 0.0;
   r.mean_queue_latency_s = last.mean_queue_latency_s;
-  r.rejected = 1;  // the reject_svc admission above
+  r.rejected = rejected;
   r.resplits = last.resplits;
   return r;
 }
@@ -255,17 +257,12 @@ PipelineResult time_pipeline(const bench::Scene& scene, int runs) {
   IfdkOptions opts;
   opts.ranks = p.ranks;
   opts.rows = p.rows;
-  auto run_once = [&](bool overlap) {
+  StreamingStats last;
+  p.seconds = bench::median_seconds(runs, [&] {
     pfs::ParallelFileSystem fs;
     stage_projections(fs, opts.input_prefix, scene.projections);
-    opts.overlap = overlap;
-    return run_distributed(scene.g, fs, opts);
-  };
-  p.blocking_seconds =
-      bench::median_seconds(runs, [&] { run_once(false); });
-  IfdkStats last;
-  p.overlapped_seconds =
-      bench::median_seconds(runs, [&] { last = run_once(true); });
+    last = run_distributed(scene.g, fs, opts);
+  });
   p.efficiency = last.overlap_efficiency;
   return p;
 }
@@ -405,9 +402,9 @@ int main(int argc, char** argv) {
     results.push_back(r);
   }
 
-  // End-to-end distributed pipeline (small 2x2 grid): blocking reference vs
-  // the overlapped pipeline, 3-run medians (the full recon dominates smoke
-  // runtime, so fewer runs than the kernel timings).
+  // End-to-end distributed pipeline (small 2x2 grid), 3-run median (the
+  // full recon dominates smoke runtime, so fewer runs than the kernel
+  // timings).
   const PipelineResult pipeline = time_pipeline(scene, 3);
 
   // Streaming-4DCT smoke point: 4 volumes through the same 2x2 world.
@@ -466,17 +463,15 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "  \"pipeline\": {\n"
                "    \"ranks\": %d, \"rows\": %d,\n"
-               "    \"blocking_seconds\": %.6f,\n"
-               "    \"overlapped_seconds\": %.6f,\n"
-               "    \"overlap_efficiency\": {\"filter_thread\": %.4f, "
-               "\"main_thread\": %.4f, \"bp_thread\": %.4f, "
+               "    \"seconds\": %.6f,\n"
+               "    \"overlap_efficiency\": {\"main_thread\": %.4f, "
+               "\"bp_thread\": %.4f, \"reduce_thread\": %.4f, "
                "\"store_thread\": %.4f}\n"
                "  },\n",
-               pipeline.ranks, pipeline.rows, pipeline.blocking_seconds,
-               pipeline.overlapped_seconds,
-               pipeline.efficiency.get("filter_thread"),
+               pipeline.ranks, pipeline.rows, pipeline.seconds,
                pipeline.efficiency.get("main_thread"),
                pipeline.efficiency.get("bp_thread"),
+               pipeline.efficiency.get("reduce_thread"),
                pipeline.efficiency.get("store_thread"));
   std::fprintf(out,
                "  \"streaming\": {\n"
@@ -592,7 +587,6 @@ int main(int argc, char** argv) {
                  "    \"reduce_segments\": %llu,\n"
                  "    \"allgather_bytes_per_round\": %llu,\n"
                  "    \"reduce_bytes_per_epoch\": %llu,\n"
-                 "    \"gather_tag_budget\": %llu,\n"
                  "    \"reduce_tag_budget\": %llu,\n"
                  "    \"device_bytes\": %llu\n"
                  "  }\n}\n",
@@ -600,8 +594,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(
                      plan.allgather_bytes_per_round()),
                  static_cast<unsigned long long>(plan.reduce_bytes_per_epoch()),
-                 static_cast<unsigned long long>(
-                     plan.gather_tag_budget(/*fused=*/false)),
                  static_cast<unsigned long long>(plan.reduce_tag_budget()),
                  static_cast<unsigned long long>(plan.device_bytes()));
   }
@@ -636,16 +628,12 @@ int main(int argc, char** argv) {
                   scalar_t / vec_t);
     }
   }
-  std::printf("  pipeline %dx%d blocking %.3f s, overlapped %.3f s (%.2fx); "
-              "efficiency filter %.2f, main %.2f, bp %.2f, store %.2f\n",
-              pipeline.rows, pipeline.ranks / pipeline.rows,
-              pipeline.blocking_seconds, pipeline.overlapped_seconds,
-              pipeline.overlapped_seconds > 0.0
-                  ? pipeline.blocking_seconds / pipeline.overlapped_seconds
-                  : 0.0,
-              pipeline.efficiency.get("filter_thread"),
+  std::printf("  pipeline %dx%d: %.3f s; efficiency main %.2f, bp %.2f, "
+              "reduce %.2f, store %.2f\n",
+              pipeline.rows, pipeline.ranks / pipeline.rows, pipeline.seconds,
               pipeline.efficiency.get("main_thread"),
               pipeline.efficiency.get("bp_thread"),
+              pipeline.efficiency.get("reduce_thread"),
               pipeline.efficiency.get("store_thread"));
   std::printf("  streaming %d volumes through %dx%d: %.3f s (%.2f vol/s); "
               "busy/wall main %.2f, bp %.2f, reduce %.2f, store %.2f\n",

@@ -1,7 +1,6 @@
 #include "ifdk/framework.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <optional>
 #include <string>
 #include <thread>
@@ -22,19 +21,6 @@ namespace {
 
 using engine::object_name;
 using engine::QueueClosedError;
-
-mpi::ReduceAlgo to_mpi_algo(ReduceFanIn fan_in) {
-  return fan_in == ReduceFanIn::kLinear ? mpi::ReduceAlgo::kLinear
-                                        : mpi::ReduceAlgo::kTree;
-}
-
-/// The single overlapped execution core (defined below, after its per-rank
-/// stats type): run_streaming validates and forwards to it, and
-/// run_distributed's overlapped path wraps it with a one-volume stream.
-StreamingStats stream_core(const geo::CbctGeometry& geometry,
-                           pfs::ParallelFileSystem& fs,
-                           const IfdkOptions& options,
-                           std::span<const JobSpec> volumes);
 
 }  // namespace
 
@@ -71,363 +57,6 @@ Volume load_volume(const pfs::ParallelFileSystem& fs,
 
 namespace {
 
-/// Per-rank device ledger of the blocking reference path (the generic
-/// wall/efficiency/total stats ride the engine's RankContext instead).
-struct BlockingRankDevice {
-  double v_h2d = 0;
-  double v_kernel = 0;
-  double v_d2h = 0;
-};
-
-/// The blocking reference path (overlap = false) as an engine Workload:
-/// self-contained Fig. 4a pipeline with blocking collectives and a serial
-/// slice store — the bitwise reference the overlapped core is tested
-/// against, and the only consumer of the blocking allgather/reduce
-/// primitives. The plan is the single source of truth for the
-/// decomposition: grid, slab extents, projection shards, and the memory
-/// check.
-class BlockingFdkWorkload final : public engine::Workload {
- public:
-  BlockingFdkWorkload(const geo::CbctGeometry& geometry,
-                      pfs::ParallelFileSystem& fs, const IfdkOptions& options,
-                      const DecompositionPlan& plan)
-      : geometry_(geometry), fs_(fs), options_(options), plan_(plan) {
-    device_.resize(static_cast<std::size_t>(options.ranks));
-  }
-
-  /// Device-model ledger of rank `rank`, merged by the caller.
-  const BlockingRankDevice& device(std::size_t rank) const {
-    return device_[rank];
-  }
-
-  /// The classic three-thread pipeline of one rank (Fig. 4a + 4b).
-  void run_rank(engine::RankContext& ctx) override {
-    const geo::CbctGeometry& geometry = geometry_;
-    const IfdkOptions& options = options_;
-    const DecompositionPlan& plan = plan_;
-    const int rows = plan.grid.rows;
-    const std::size_t slab_h = plan.slab_h;
-    const std::size_t per_rank = plan.rounds;
-    const std::size_t pixels = plan.pixels;
-
-    mpi::Comm& world = ctx.world;
-    const int rank = ctx.rank;
-    const int col = plan.col_of(rank);
-    const int row = plan.row_of(rank);
-    Timer rank_timer;
-
-    // Fig. 3b: AllGather across the column, Reduce across the row.
-    mpi::Comm col_comm = world.split(col, row);
-    mpi::Comm row_comm = world.split(row, col);
-
-    // Per-rank engines. The filter engine is what the Filtering-thread runs
-    // on "CPUs"; the back-projector is the Bp-thread's "GPU" kernel.
-    filter::FilterEngine engine(geometry, options.filter);
-
-    bp::BpConfig bp_cfg;
-    bp_cfg.batch = options.bp_batch;
-    bp_cfg.simd_backend = options.simd_backend;
-    bp_cfg.k_begin = static_cast<std::size_t>(row) * slab_h;
-    bp_cfg.k_half = slab_h;
-    bp::Backprojector backprojector(geometry, bp_cfg);
-    const auto matrices = geo::make_all_projection_matrices(geometry);
-
-    // Device memory: the slab pair plus a batch of projections must fit
-    // (the plan's Section 4.1.5 check, re-enforced by the allocator).
-    gpusim::Device device(options.device);
-    gpusim::DeviceBuffer vol_buf = device.allocate(plan.slab_bytes());
-    gpusim::DeviceBuffer batch_buf = device.allocate(
-        static_cast<std::uint64_t>(options.bp_batch) * pixels * sizeof(float));
-    gpusim::KernelModel kernel_model;
-
-    Volume slab(geometry.nx, geometry.ny, 2 * slab_h, VolumeLayout::kZMajor,
-                /*zero_fill=*/true);
-
-    auto owned_index = [&](std::size_t t) {
-      return plan.owned_projection(row, col, t);
-    };
-
-    struct Filtered {
-      std::size_t index;
-      Image2D image;
-    };
-    CircularBuffer<Filtered> q_filtered(options.queue_capacity);
-    CircularBuffer<std::vector<Filtered>> q_gathered(options.queue_capacity);
-
-    // Worker-thread errors are carried back to the rank body and rethrown
-    // there, so run_world's abort protocol unblocks the other ranks. A
-    // refused queue push is itself a pipeline error: it means the consumer
-    // side shut down early, and silently dropping the item would make this
-    // rank emit a wrong (partially accumulated) volume.
-    std::exception_ptr filter_error;
-    std::exception_ptr bp_error;
-    std::exception_ptr main_error;
-
-    // ---- Filtering-thread: load from PFS + filter (Fig. 4a left) ----------
-    StageTimer filter_timer;
-    std::thread filtering_thread([&] {
-      try {
-        // Thread-owned FFT scratch: one allocation for the whole run instead
-        // of one per filtered row.
-        fft::Workspace fft_ws;
-        for (std::size_t t = 0; t < per_rank; ++t) {
-          const std::size_t s = owned_index(t);
-          Image2D img(geometry.nu, geometry.nv, /*zero_fill=*/false);
-          filter_timer.time("load", [&] {
-            fs_.read_object(object_name(options.input_prefix, s), img.data(),
-                            img.bytes());
-          });
-          filter_timer.time("filter", [&] { engine.apply(img, fft_ws); });
-          if (!q_filtered.push(Filtered{s, std::move(img)})) {
-            throw QueueClosedError(
-                "iFDK pipeline: filtered-projection queue closed before all "
-                "rounds were delivered");
-          }
-        }
-      } catch (...) {
-        filter_error = std::current_exception();
-      }
-      q_filtered.close();
-    });
-
-    // ---- Bp-thread: H2D + back-projection (Fig. 4a right) -----------------
-    StageTimer bp_timer;
-    std::thread bp_thread([&] {
-      while (auto batch = q_gathered.pop()) {
-        if (bp_error) continue;  // drain remaining rounds after a failure
-        try {
-        // The kernels execute on the CPU against host memory, so transfers
-        // are accounting-only: charge the PCIe cost the modeled V100 would
-        // pay to stage this round (the allocation above reserved the space).
-        for (const Filtered& f : *batch) {
-          device.charge_h2d(f.image.bytes());
-        }
-        std::vector<Image2D> images;
-        std::vector<geo::Mat34> mats;
-        images.reserve(batch->size());
-        mats.reserve(batch->size());
-        for (Filtered& f : *batch) {
-          mats.push_back(matrices[f.index]);
-          images.push_back(std::move(f.image));
-        }
-        bp_timer.time("backprojection", [&] {
-          backprojector.accumulate(slab, images, mats);
-        });
-        // Modeled V100 cost of the same launch on this rank's sub-problem.
-        const Problem sub{{geometry.nu, geometry.nv, images.size()},
-                          {geometry.nx, geometry.ny, 2 * slab_h}};
-        const double v100 =
-            kernel_model.kernel_seconds(bp::KernelVariant::kL1Tran, sub);
-        device.charge_kernel(v100);
-        } catch (...) {
-          bp_error = std::current_exception();
-          // Stop accepting rounds so the main thread notices promptly
-          // instead of filling the queue against a dead consumer.
-          q_gathered.close();
-        }
-      }
-    });
-
-    // ---- Main-thread: AllGather per round (Fig. 4a middle) ----------------
-    // Collectives throw when another rank aborts the world; catching here
-    // (instead of unwinding past the worker threads) guarantees both workers
-    // are always joined and this rank exits cleanly.
-    StageTimer main_timer;
-    std::vector<float> gather_recv(static_cast<std::size_t>(rows) * pixels);
-    // Repackages the rank-ordered gather buffer of round `t` into per-
-    // projection images and hands them to the Bp-thread (blocks on queue
-    // back-pressure — exactly the Fig. 4a coupling of gather and bp rates).
-    auto deliver_round = [&](std::size_t t, const std::vector<float>& recv) {
-      std::vector<Filtered> round;
-      round.reserve(static_cast<std::size_t>(rows));
-      for (int r = 0; r < rows; ++r) {
-        Image2D img(geometry.nu, geometry.nv, /*zero_fill=*/false);
-        const float* src = recv.data() + static_cast<std::size_t>(r) * pixels;
-        std::copy(src, src + pixels, img.data());
-        round.push_back(Filtered{plan.owned_projection(r, col, t),
-                                 std::move(img)});
-      }
-      if (!q_gathered.push(std::move(round))) {
-        throw QueueClosedError(
-            "iFDK pipeline: gathered-projection queue closed before all "
-            "rounds were delivered");
-      }
-    };
-    try {
-      for (std::size_t t = 0; t < per_rank; ++t) {
-        auto mine = q_filtered.pop();
-        if (!mine.has_value()) {
-          // Filtering thread failed; its error is the root cause (rethrown
-          // below), but the gather stream must not end silently short.
-          throw QueueClosedError(
-              "iFDK pipeline: filtered-projection queue closed before all "
-              "rounds were gathered");
-        }
-        IFDK_ASSERT(mine->index == owned_index(t));
-        main_timer.time("allgather", [&] {
-          if (options.use_ring_allgather) {
-            col_comm.allgather_ring(mine->image.data(),
-                                    pixels * sizeof(float),
-                                    gather_recv.data());
-          } else {
-            col_comm.allgather(mine->image.data(), pixels * sizeof(float),
-                               gather_recv.data());
-          }
-        });
-        deliver_round(t, gather_recv);
-      }
-    } catch (...) {
-      main_error = std::current_exception();
-    }
-    q_gathered.close();
-    // Unblock a filtering thread stalled on a full queue after an early
-    // exit; harmless on the success path (the producer has already closed).
-    q_filtered.close();
-
-    filtering_thread.join();
-    bp_thread.join();
-    // Rethrow the root cause, not a symptom: when one thread dies its queue
-    // closes, and the threads at the other end fail with a secondary
-    // QueueClosedError. A bp failure makes the main push fail; a filter
-    // failure ends the main thread's pop early; a remote-rank abort surfaces
-    // in the main thread's collective.
-    const std::exception_ptr errors[] = {bp_error, main_error, filter_error};
-    if (const std::exception_ptr first = engine::pick_root_cause(errors)) {
-      std::rethrow_exception(first);
-    }
-    const double compute_span = rank_timer.seconds();
-
-    // ---- Post: D2H, row Reduce, store (Fig. 4b) ----------------------------
-    main_timer.time("d2h", [&] { device.charge_d2h(slab.bytes()); });
-
-    auto global_slice = [&](std::size_t local_k) {
-      return plan.global_slice(row, local_k);
-    };
-    const std::size_t slice_px = plan.slice_px;
-    auto extract_slice = [&](const float* zmajor, std::size_t local_k,
-                             float* dst) {
-      engine::extract_zmajor_slice(zmajor, geometry.nx, geometry.ny,
-                                   2 * slab_h, local_k, dst);
-    };
-    Volume reduced(geometry.nx, geometry.ny, 2 * slab_h,
-                   VolumeLayout::kZMajor, /*zero_fill=*/col == 0);
-    main_timer.time("reduce", [&] {
-      row_comm.reduce(slab.data(), col == 0 ? reduced.data() : nullptr,
-                      slab.voxels(), mpi::ReduceOp::kSum, /*root=*/0);
-    });
-
-    if (col == 0) {
-      // Blocking reference store: extract and write slices serially.
-      main_timer.time("store", [&] {
-        std::vector<float> slice(slice_px);
-        for (std::size_t local_k = 0; local_k < 2 * slab_h; ++local_k) {
-          extract_slice(reduced.data(), local_k, slice.data());
-          fs_.write_object(
-              object_name(options.output_prefix, global_slice(local_k)),
-              slice.data(), slice.size() * sizeof(float));
-        }
-      });
-    }
-    world.barrier();
-
-    ctx.wall.merge(filter_timer);
-    ctx.wall.merge(bp_timer);
-    ctx.wall.merge(main_timer);
-    ctx.wall.add("compute", compute_span);
-    BlockingRankDevice& dev = device_[static_cast<std::size_t>(rank)];
-    dev.v_h2d = device.virtual_h2d_seconds();
-    dev.v_kernel = device.virtual_kernel_seconds();
-    dev.v_d2h = device.virtual_d2h_seconds();
-    ctx.total = rank_timer.seconds();
-
-    // Busy/wall per pipeline thread: how much of this rank's wall clock each
-    // stage thread spent doing useful work. bp_thread near 1 means the
-    // pipeline reached the paper's back-projection-bound regime.
-    if (ctx.total > 0) {
-      ctx.efficiency.add(
-          "filter_thread",
-          (filter_timer.get("load") + filter_timer.get("filter")) /
-              ctx.total);
-      ctx.efficiency.add(
-          "main_thread",
-          (main_timer.get("allgather") + main_timer.get("d2h") +
-           main_timer.get("transpose") + main_timer.get("reduce") +
-           main_timer.get("store")) /
-              ctx.total);
-      ctx.efficiency.add("bp_thread",
-                         bp_timer.get("backprojection") / ctx.total);
-    }
-  }
-
- private:
-  const geo::CbctGeometry& geometry_;
-  pfs::ParallelFileSystem& fs_;
-  const IfdkOptions& options_;
-  const DecompositionPlan& plan_;
-  std::vector<BlockingRankDevice> device_;
-};
-
-}  // namespace
-
-IfdkStats run_distributed(const geo::CbctGeometry& geometry,
-                          pfs::ParallelFileSystem& fs,
-                          const IfdkOptions& options) {
-  if (options.overlap) {
-    // The documented one-volume wrapper over the streaming execution core:
-    // a JobSpec carrying the options' I/O prefixes rides the exact
-    // plan/epoch machinery of run_streaming, with the dedicated
-    // Filtering-thread (not the fused worker) so the classic stats contract
-    // — filter/main/bp/store thread efficiencies, per-stage wall seconds,
-    // the modeled-V100 ledger — still holds. The core's per-volume store
-    // isolation is converted back to this API's throwing contract: the one
-    // volume's failure IS the run's failure.
-    IfdkOptions stream_options = options;
-    stream_options.fuse_filter_gather = false;
-    const JobSpec job{options.input_prefix, options.output_prefix, {}};
-    const StreamingStats streamed = stream_core(
-        geometry, fs, stream_options, std::span<const JobSpec>(&job, 1));
-    if (!streamed.volume_errors[0].empty()) {
-      throw IoError(streamed.volume_errors[0]);
-    }
-    IfdkStats out;
-    out.grid = streamed.grid;
-    out.overlapped = true;
-    out.wall = streamed.wall;
-    out.device_model = streamed.device_model;
-    out.overlap_efficiency = streamed.overlap_efficiency;
-    out.wall_total = streamed.wall_total;
-    out.wire_raw_bytes = streamed.wire_raw_bytes;
-    out.wire_encoded_bytes = streamed.wire_encoded_bytes;
-    return out;
-  }
-
-  const DecompositionPlan plan = DecompositionPlan::make(geometry, options);
-  plan.check_device_fit(options.device);
-
-  BlockingFdkWorkload workload(geometry, fs, options, plan);
-  const engine::EngineStats engine_stats =
-      engine::run(options.ranks, workload);
-
-  // Merge: report the per-stage maximum across ranks (the critical path).
-  // The engine already merged the generic wall/efficiency/total stats; the
-  // modeled-V100 ledger is workload-owned and merged here.
-  IfdkStats out;
-  out.grid = plan.grid;
-  out.overlapped = false;
-  out.wall = engine_stats.wall;
-  out.overlap_efficiency = engine_stats.efficiency;
-  out.wall_total = engine_stats.wall_total;
-  for (std::size_t r = 0; r < static_cast<std::size_t>(options.ranks); ++r) {
-    const BlockingRankDevice& dev = workload.device(r);
-    out.device_model.set_max("v_h2d", dev.v_h2d);
-    out.device_model.set_max("v_kernel", dev.v_kernel);
-    out.device_model.set_max("v_d2h", dev.v_d2h);
-  }
-  return out;
-}
-
-namespace {
-
 /// Per-rank workload-owned results of a streaming run (the generic
 /// wall/efficiency/total stats ride the engine's RankContext instead).
 struct StreamRankStats {
@@ -447,11 +76,11 @@ struct StreamRankStats {
   std::vector<pfs::StreamStats> store;
 };
 
-/// FDK streaming as an engine Workload: the Fig. 4a/4b per-rank pipeline
-/// with streaming epochs — optional Filtering-thread, fused filter/gather
-/// worker, Bp-thread with the depth-1 slab handoff, and the Reduce-thread
-/// running per-volume collective epochs through the engine's communicator
-/// cache and writer plumbing.
+/// FDK as an engine Workload: the Fig. 4a/4b per-rank pipeline with
+/// streaming epochs — the fused load/filter/gather worker, the Bp-thread
+/// with the depth-1 slab handoff, and the Reduce-thread running per-volume
+/// collective epochs through the engine's communicator cache and writer
+/// plumbing.
 class FdkStreamWorkload final : public engine::Workload {
  public:
   FdkStreamWorkload(pfs::ParallelFileSystem& fs, const IfdkOptions& options,
@@ -466,8 +95,7 @@ class FdkStreamWorkload final : public engine::Workload {
         plans_(plans),
         max_slab_bytes_(max_slab_bytes),
         max_batch_bytes_(max_batch_bytes),
-        max_gather_floats_(max_gather_floats),
-        algo_(to_mpi_algo(options.reduce_fan_in)) {
+        max_gather_floats_(max_gather_floats) {
     rank_stats_.resize(static_cast<std::size_t>(options.ranks));
   }
 
@@ -477,7 +105,8 @@ class FdkStreamWorkload final : public engine::Workload {
     return rank_stats_[rank];
   }
 
-  /// The streaming per-rank pipeline (four threads, per-volume epochs).
+  /// The per-rank pipeline (three threads plus the store writer,
+  /// per-volume epochs).
   void run_rank(engine::RankContext& ctx) override {
     pfs::ParallelFileSystem& fs = fs_;
     const IfdkOptions& options = options_;
@@ -487,7 +116,6 @@ class FdkStreamWorkload final : public engine::Workload {
     const std::uint64_t max_slab_bytes = max_slab_bytes_;
     const std::uint64_t max_batch_bytes = max_batch_bytes_;
     const std::size_t max_gather_floats = max_gather_floats_;
-    const mpi::ReduceAlgo algo = algo_;
 
     mpi::Comm& world = ctx.world;
     const int rank = ctx.rank;
@@ -521,7 +149,6 @@ class FdkStreamWorkload final : public engine::Workload {
     gpusim::KernelModel kernel_model;
 
     struct Filtered {
-      std::size_t vol;
       std::size_t index;
       Image2D image;
     };
@@ -533,58 +160,14 @@ class FdkStreamWorkload final : public engine::Workload {
       std::size_t vol;
       Volume slab;
     };
-    CircularBuffer<Filtered> q_filtered(options.queue_capacity);
     CircularBuffer<Round> q_gathered(options.queue_capacity);
     // Depth-1 handoff: the Bp-thread may run at most one volume ahead of
     // the reduce (bounding resident slabs to the double buffer above).
     CircularBuffer<SlabPair> q_slabs(1);
 
-    std::exception_ptr filter_error;
     std::exception_ptr bp_error;
     std::exception_ptr reduce_error;
     std::exception_ptr main_error;
-
-    // ---- Filtering-thread (only when not fused onto the worker) -----------
-    StageTimer filter_timer;
-    std::thread filtering_thread;
-    if (!options.fuse_filter_gather) {
-      filtering_thread = std::thread([&] {
-        try {
-          std::optional<filter::FilterEngine> engine;
-          const geo::CbctGeometry* engine_geom = nullptr;
-          // Thread-owned FFT scratch, reused across volumes (Workspace only
-          // grows, so a geometry change at most reallocates once).
-          fft::Workspace fft_ws;
-          for (std::size_t v = 0; v < n_volumes; ++v) {
-            const DecompositionPlan& plan = plans[v];
-            if (engine_geom == nullptr || !(*engine_geom == plan.geometry)) {
-              engine.emplace(plan.geometry, options.filter);
-              engine_geom = &plan.geometry;
-            }
-            const int row = plan.row_of(rank);
-            const int col = plan.col_of(rank);
-            for (std::size_t t = 0; t < plan.rounds; ++t) {
-              const std::size_t s = plan.owned_projection(row, col, t);
-              Image2D img(plan.geometry.nu, plan.geometry.nv,
-                          /*zero_fill=*/false);
-              filter_timer.time("load", [&] {
-                fs.read_object(object_name(volumes[v].input_prefix, s),
-                               img.data(), img.bytes());
-              });
-              filter_timer.time("filter", [&] { engine->apply(img, fft_ws); });
-              if (!q_filtered.push(Filtered{v, s, std::move(img)})) {
-                throw QueueClosedError(
-                    "iFDK streaming: filtered-projection queue closed before "
-                    "all volumes were delivered");
-              }
-            }
-          }
-        } catch (...) {
-          filter_error = std::current_exception();
-        }
-        q_filtered.close();
-      });
-    }
 
     // ---- Bp-thread: accumulate rounds; hand each finished slab over -------
     StageTimer bp_timer;
@@ -667,8 +250,8 @@ class FdkStreamWorkload final : public engine::Workload {
           q_slabs.close();
         }
       }
-      // The load+filter+gather+bp span, same meaning as the classic
-      // pipeline's "compute" stage (the join below publishes the write).
+      // The load+filter+gather+bp span, reported as the "compute" stage
+      // (the join below publishes the write).
       stats.compute = rank_timer.seconds();
       if (!bp_error) q_slabs.close();
     });
@@ -749,7 +332,7 @@ class FdkStreamWorkload final : public engine::Workload {
           mpi::Comm::CollectiveRequest req = row_comm.ireduce(
               partial.data(), col == 0 ? reduced.data() : nullptr,
               partial.size(), mpi::ReduceOp::kSum, /*root=*/0,
-              options.reduce_segment_floats, std::move(on_segment), algo,
+              options.reduce_segment_floats, std::move(on_segment),
               options.compress_wire ? &wire_codec : nullptr);
           reduce_timer.time("reduce", [&] { req.wait(); });
           engine::assert_tag_budget(
@@ -773,7 +356,15 @@ class FdkStreamWorkload final : public engine::Workload {
       }
     });
 
-    // ---- Worker (main) thread: filter (fused) + column gather per round ----
+    // ---- Worker (main) thread: load + filter + column gather per round -----
+    // Same-thread overlap via irecv: post round g's sends and receives, then
+    // load+filter round g+1 while g's blocks are in transit, then wait g's
+    // receives and deliver. The exchange is double-buffered across the whole
+    // round stream, volume boundaries included (even across a grid re-split,
+    // where the two rounds ride different communicators). Tags are
+    // per-round user tags — the column communicators are framework-private,
+    // so the space is free (and per-comm, so a re-split epoch cannot collide
+    // with an earlier grid's in-flight round).
     StageTimer main_timer;
     // Both gather buffers are sized for the largest rows x pixels in the
     // stream, so a geometry change never resizes a buffer with an exchange
@@ -781,11 +372,19 @@ class FdkStreamWorkload final : public engine::Workload {
     std::vector<float> gather_recv[2];
     gather_recv[0].resize(max_gather_floats);
     gather_recv[1].resize(max_gather_floats);
-    // Repackages round `t` of volume `v` from the rank-ordered buffer.
-    auto deliver_round = [&](std::size_t v, std::size_t t,
-                             const std::vector<float>& recv) {
-      const DecompositionPlan& plan = plans[v];
+    std::vector<mpi::Comm::Request> reqs[2];
+    bool have_pending = false;
+    std::size_t pending_v = 0;
+    std::size_t pending_t = 0;
+    std::size_t pending_buf = 0;
+    // Waits the pending round's receives and hands its R images, in row
+    // order, to the Bp-thread.
+    auto deliver_pending = [&] {
+      main_timer.time("allgather",
+                      [&] { mpi::Comm::wait_all(reqs[pending_buf]); });
+      const DecompositionPlan& plan = plans[pending_v];
       const int col = plan.col_of(rank);
+      const std::vector<float>& recv = gather_recv[pending_buf];
       std::vector<Filtered> images;
       images.reserve(static_cast<std::size_t>(plan.grid.rows));
       for (int r = 0; r < plan.grid.rows; ++r) {
@@ -794,148 +393,69 @@ class FdkStreamWorkload final : public engine::Workload {
             recv.data() + static_cast<std::size_t>(r) * plan.pixels;
         std::copy(src, src + plan.pixels, img.data());
         images.push_back(
-            Filtered{v, plan.owned_projection(r, col, t), std::move(img)});
+            Filtered{plan.owned_projection(r, col, pending_t), std::move(img)});
       }
-      if (!q_gathered.push(Round{v, std::move(images)})) {
+      if (!q_gathered.push(Round{pending_v, std::move(images)})) {
         throw QueueClosedError(
             "iFDK streaming: gathered-projection queue closed before all "
             "rounds were delivered");
       }
     };
     try {
-      if (options.fuse_filter_gather) {
-        // Same-thread overlap via irecv: post round g's receives, then
-        // load+filter round g+1 while g's blocks are in transit, then wait
-        // g's receives and deliver. Tags are per-round user tags — the
-        // column communicators are framework-private, so the space is free
-        // (and per-comm, so a re-split epoch cannot collide with an earlier
-        // grid's in-flight round).
-        std::optional<filter::FilterEngine> engine;
-        const geo::CbctGeometry* engine_geom = nullptr;
-        // Worker-owned FFT scratch for the fused filter stage.
-        fft::Workspace fft_ws;
-        std::vector<mpi::Comm::Request> reqs[2];
-        bool have_pending = false;
-        std::size_t pending_v = 0;
-        std::size_t pending_t = 0;
-        std::size_t pending_buf = 0;
-        std::size_t g = 0;  // global round counter across the whole stream
-        for (std::size_t v = 0; v < n_volumes; ++v) {
-          const DecompositionPlan& plan = plans[v];
-          if (engine_geom == nullptr || !(*engine_geom == plan.geometry)) {
-            engine.emplace(plan.geometry, options.filter);
-            engine_geom = &plan.geometry;
-          }
-          const int row = plan.row_of(rank);
-          const int col = plan.col_of(rank);
-          mpi::Comm& col_comm = epoch_comms.of(v).col;
-          const std::uint64_t tags_before =
-              col_comm.collective_tags_reserved();
-          for (std::size_t t = 0; t < plan.rounds; ++t, ++g) {
-            const std::size_t s = plan.owned_projection(row, col, t);
-            Image2D img(plan.geometry.nu, plan.geometry.nv,
-                        /*zero_fill=*/false);
-            main_timer.time("load", [&] {
-              fs.read_object(object_name(volumes[v].input_prefix, s),
-                             img.data(), img.bytes());
-            });
-            main_timer.time("filter", [&] { engine->apply(img, fft_ws); });
-            main_timer.time("allgather", [&] {
-              const int tag = static_cast<int>(g % (std::size_t{1} << 20));
-              std::vector<float>& buf = gather_recv[g % 2];
-              std::copy(img.data(), img.data() + plan.pixels,
-                        buf.data() +
-                            static_cast<std::size_t>(row) * plan.pixels);
-              std::vector<mpi::Comm::Request>& rr = reqs[g % 2];
-              rr.clear();
-              for (int r = 0; r < plan.grid.rows; ++r) {
-                if (r == row) continue;
-                col_comm.isend(r, tag, img.data(),
-                               plan.pixels * sizeof(float))
-                    .wait();  // buffered: completion is immediate
-                rr.push_back(col_comm.irecv(
-                    r, tag,
-                    buf.data() + static_cast<std::size_t>(r) * plan.pixels,
-                    plan.pixels * sizeof(float)));
-              }
-            });
-            if (have_pending) {
-              main_timer.time("allgather", [&] {
-                mpi::Comm::wait_all(reqs[pending_buf]);
-              });
-              deliver_round(pending_v, pending_t, gather_recv[pending_buf]);
+      std::optional<filter::FilterEngine> engine;
+      const geo::CbctGeometry* engine_geom = nullptr;
+      // Worker-owned FFT scratch, reused across volumes (Workspace only
+      // grows, so a geometry change at most reallocates once).
+      fft::Workspace fft_ws;
+      std::size_t g = 0;  // global round counter across the whole stream
+      for (std::size_t v = 0; v < n_volumes; ++v) {
+        const DecompositionPlan& plan = plans[v];
+        if (engine_geom == nullptr || !(*engine_geom == plan.geometry)) {
+          engine.emplace(plan.geometry, options.filter);
+          engine_geom = &plan.geometry;
+        }
+        const int row = plan.row_of(rank);
+        const int col = plan.col_of(rank);
+        mpi::Comm& col_comm = epoch_comms.of(v).col;
+        const std::uint64_t tags_before = col_comm.collective_tags_reserved();
+        for (std::size_t t = 0; t < plan.rounds; ++t, ++g) {
+          const std::size_t s = plan.owned_projection(row, col, t);
+          Image2D img(plan.geometry.nu, plan.geometry.nv, /*zero_fill=*/false);
+          main_timer.time("load", [&] {
+            fs.read_object(object_name(volumes[v].input_prefix, s),
+                           img.data(), img.bytes());
+          });
+          main_timer.time("filter", [&] { engine->apply(img, fft_ws); });
+          main_timer.time("allgather", [&] {
+            const int tag = static_cast<int>(g % (std::size_t{1} << 20));
+            std::vector<float>& buf = gather_recv[g % 2];
+            std::copy(img.data(), img.data() + plan.pixels,
+                      buf.data() + static_cast<std::size_t>(row) * plan.pixels);
+            std::vector<mpi::Comm::Request>& rr = reqs[g % 2];
+            rr.clear();
+            for (int r = 0; r < plan.grid.rows; ++r) {
+              if (r == row) continue;
+              col_comm.isend(r, tag, img.data(), plan.pixels * sizeof(float))
+                  .wait();  // buffered: completion is immediate
+              rr.push_back(col_comm.irecv(
+                  r, tag,
+                  buf.data() + static_cast<std::size_t>(r) * plan.pixels,
+                  plan.pixels * sizeof(float)));
             }
-            pending_v = v;
-            pending_t = t;
-            pending_buf = g % 2;
-            have_pending = true;
-          }
-          // The fused exchange runs over user tags: its collective budget
-          // is zero, and the plan says so.
-          engine::assert_tag_budget(
-              tags_before, col_comm.collective_tags_reserved(),
-              plan.gather_tag_budget(/*fused=*/true),
-              "fused gather epoch reserved collective tags");
+          });
+          if (have_pending) deliver_pending();
+          pending_v = v;
+          pending_t = t;
+          pending_buf = g % 2;
+          have_pending = true;
         }
-        if (have_pending) {
-          main_timer.time("allgather",
-                          [&] { mpi::Comm::wait_all(reqs[pending_buf]); });
-          deliver_round(pending_v, pending_t, gather_recv[pending_buf]);
-        }
-      } else {
-        // Dedicated filtering thread feeds us; double-buffered nonblocking
-        // ring gather across the whole round stream, volume boundaries
-        // included (round t of volume v+1 is initiated while the last round
-        // of volume v is still outstanding — even across a grid re-split,
-        // where the two rounds ride different communicators).
-        mpi::Comm::CollectiveRequest pending;
-        std::size_t pending_v = 0;
-        std::size_t pending_t = 0;
-        std::size_t pending_buf = 0;
-        std::size_t g = 0;
-        for (std::size_t v = 0; v < n_volumes; ++v) {
-          const DecompositionPlan& plan = plans[v];
-          const int row = plan.row_of(rank);
-          const int col = plan.col_of(rank);
-          mpi::Comm& col_comm = epoch_comms.of(v).col;
-          const std::uint64_t tags_before =
-              col_comm.collective_tags_reserved();
-          for (std::size_t t = 0; t < plan.rounds; ++t, ++g) {
-            auto mine = q_filtered.pop();
-            if (!mine.has_value()) {
-              throw QueueClosedError(
-                  "iFDK streaming: filtered-projection queue closed before "
-                  "all rounds were gathered");
-            }
-            IFDK_ASSERT(mine->vol == v &&
-                        mine->index == plan.owned_projection(row, col, t));
-            mpi::Comm::CollectiveRequest req;
-            main_timer.time("allgather", [&] {
-              req = col_comm.iallgather_ring(mine->image.data(),
-                                             plan.pixels * sizeof(float),
-                                             gather_recv[g % 2].data());
-            });
-            if (pending.valid()) {
-              main_timer.time("allgather", [&] { pending.wait(); });
-              deliver_round(pending_v, pending_t, gather_recv[pending_buf]);
-            }
-            pending = std::move(req);
-            pending_v = v;
-            pending_t = t;
-            pending_buf = g % 2;
-          }
-          // All of volume v's rings are initiated (and their tags reserved)
-          // by now, even though the last one may still be in flight.
-          engine::assert_tag_budget(
-              tags_before, col_comm.collective_tags_reserved(),
-              plan.gather_tag_budget(/*fused=*/false),
-              "column gather epoch exceeded the plan's tag budget");
-        }
-        if (pending.valid()) {
-          main_timer.time("allgather", [&] { pending.wait(); });
-          deliver_round(pending_v, pending_t, gather_recv[pending_buf]);
-        }
+        // The exchange runs over user tags: a gather epoch reserves no
+        // collective tags at all.
+        engine::assert_tag_budget(tags_before,
+                                  col_comm.collective_tags_reserved(), 0,
+                                  "gather epoch reserved collective tags");
       }
+      if (have_pending) deliver_pending();
     } catch (...) {
       main_error = std::current_exception();
       // Sibling threads of THIS rank may be blocked inside collectives whose
@@ -946,22 +466,18 @@ class FdkStreamWorkload final : public engine::Workload {
       world.abort_world();
     }
     q_gathered.close();
-    q_filtered.close();
 
-    if (filtering_thread.joinable()) filtering_thread.join();
     bp_thread.join();
     reduce_thread.join();
 
     // Rethrow the root cause: real failures > world-abort symptoms >
-    // queue-shutdown symptoms (same policy as run_distributed).
-    const std::exception_ptr errors[] = {bp_error, reduce_error, main_error,
-                                         filter_error};
+    // queue-shutdown symptoms.
+    const std::exception_ptr errors[] = {bp_error, reduce_error, main_error};
     if (const std::exception_ptr first = engine::pick_root_cause(errors)) {
       std::rethrow_exception(first);
     }
     world.barrier();
 
-    ctx.wall.merge(filter_timer);
     ctx.wall.merge(bp_timer);
     ctx.wall.merge(main_timer);
     ctx.wall.merge(reduce_timer);
@@ -972,10 +488,6 @@ class FdkStreamWorkload final : public engine::Workload {
     stats.v_d2h = device.virtual_d2h_seconds();
     ctx.total = rank_timer.seconds();
     if (ctx.total > 0) {
-      ctx.efficiency.add(
-          "filter_thread",
-          (filter_timer.get("load") + filter_timer.get("filter")) /
-              ctx.total);
       ctx.efficiency.add(
           "main_thread",
           (main_timer.get("load") + main_timer.get("filter") +
@@ -1000,19 +512,28 @@ class FdkStreamWorkload final : public engine::Workload {
   std::uint64_t max_slab_bytes_;
   std::uint64_t max_batch_bytes_;
   std::size_t max_gather_floats_;
-  mpi::ReduceAlgo algo_;
   std::vector<StreamRankStats> rank_stats_;
 };
 
-/// The single overlapped execution core (Fig. 4a/4b with streaming epochs):
-/// run_streaming validates the jobs and forwards here, and run_distributed's
-/// overlapped path wraps it with a one-volume stream. Callers have already
-/// validated `volumes`; this function builds the per-volume plans and runs
-/// the FDK workload on the engine.
-StreamingStats stream_core(const geo::CbctGeometry& geometry,
-                           pfs::ParallelFileSystem& fs,
-                           const IfdkOptions& options,
-                           std::span<const JobSpec> volumes) {
+}  // namespace
+
+StreamingStats run_streaming(const geo::CbctGeometry& geometry,
+                             pfs::ParallelFileSystem& fs,
+                             const IfdkOptions& options,
+                             std::span<const JobSpec> volumes) {
+  // Every JobSpec is checked with its volume index, so a bad frame in a
+  // long series names itself.
+  options.validate();
+  for (std::size_t v = 0; v < volumes.size(); ++v) {
+    volumes[v].validate(static_cast<int>(v));
+    if (volumes[v].workload != WorkloadKind::kFdk) {
+      throw ConfigError("volume " + std::to_string(v) +
+                        ": run_streaming executes FDK jobs only; iterative "
+                        "jobs dispatch through iterative::run_iterative (or "
+                        "the service front door)");
+    }
+  }
+
   const std::size_t n_volumes = volumes.size();
   // One DecompositionPlan per volume: the volume's own geometry when set,
   // the run geometry otherwise. Validation errors name the volume. With
@@ -1029,7 +550,6 @@ StreamingStats stream_core(const geo::CbctGeometry& geometry,
 
   StreamingStats out;
   out.volumes = static_cast<int>(n_volumes);
-  out.fused_filter_gather = options.fuse_filter_gather;
   out.volume_errors.assign(n_volumes, "");
   out.plans = plans;
   // The ONLY place StreamingStats::grid is assigned: always the first
@@ -1112,27 +632,17 @@ StreamingStats stream_core(const geo::CbctGeometry& geometry,
   return out;
 }
 
-}  // namespace
-
-StreamingStats run_streaming(const geo::CbctGeometry& geometry,
-                             pfs::ParallelFileSystem& fs,
-                             const IfdkOptions& options,
-                             std::span<const JobSpec> volumes) {
-  // The public entry point is validation + forwarding: every JobSpec is
-  // checked with its volume index (so a bad frame in a long series names
-  // itself), then the shared execution core runs the stream. The service
-  // layer calls the same core through this function after admission.
-  options.validate();
-  for (std::size_t v = 0; v < volumes.size(); ++v) {
-    volumes[v].validate(static_cast<int>(v));
-    if (volumes[v].workload != WorkloadKind::kFdk) {
-      throw ConfigError("volume " + std::to_string(v) +
-                        ": run_streaming executes FDK jobs only; iterative "
-                        "jobs dispatch through iterative::run_iterative (or "
-                        "the service front door)");
-    }
+StreamingStats run_distributed(const geo::CbctGeometry& geometry,
+                               pfs::ParallelFileSystem& fs,
+                               const IfdkOptions& options) {
+  const JobSpec job{options.input_prefix, options.output_prefix, {}};
+  StreamingStats stats =
+      run_streaming(geometry, fs, options, std::span<const JobSpec>(&job, 1));
+  // The one volume's store failure IS the run's failure.
+  if (!stats.volume_errors[0].empty()) {
+    throw IoError(stats.volume_errors[0]);
   }
-  return stream_core(geometry, fs, options, volumes);
+  return stats;
 }
 
 }  // namespace ifdk

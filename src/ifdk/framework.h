@@ -15,27 +15,27 @@
 //     of Nx x Ny (Section 4.1.3).
 //
 // Inside every rank three threads pipeline the work through two circular
-// buffers exactly as Fig. 4a: Filtering-thread -> Main-thread (AllGather) ->
-// Bp-thread. Projection *loading* is sharded across the column: each rank
-// reads only its 1/R of the column's Np/C share and the AllGather fills in
-// the rest, so no projection is read from the PFS more than once per column.
-//
-// With IfdkOptions::overlap (the default) the stages genuinely overlap the
-// way Fig. 4 requires for the end-to-end time to approach the
-// back-projection lower bound:
-//   * the column AllGather is the nonblocking ring (iallgather_ring),
-//     double-buffered across rounds — round t+1's exchange is initiated
-//     before round t is handed to the Bp-thread, so a rank never serializes
-//     "gather, then enqueue" against its neighbours;
-//   * the row Reduce is the chunked, pipelined ireduce: the slab is
-//     transposed to slice-major on every rank and reduced segment by
-//     segment, so the fold of segment s overlaps the delivery of s+1 —
-//     bitwise-identical to the blocking linear reduce;
+// buffers as in Fig. 4a, plus a background store writer:
+//   * the worker (Main-thread) loads and ramp-filters its own projection of
+//     round t, posts it to the column's other ranks and its receives for
+//     theirs, then loads and filters round t+1 while round t is in transit —
+//     the column AllGather double-buffered across rounds on one thread;
+//   * the Bp-thread back-projects each gathered round into the row's slab
+//     pair and hands the finished slab over (depth-1 queue);
+//   * the Reduce-thread transposes the slab to slice-major and runs the
+//     chunked, pipelined row ireduce (binomial-tree fan-in, ascending-rank
+//     fold), so the fold of segment s overlaps the delivery of s+1;
 //   * the row root streams every completed slice into a pfs::AsyncWriter,
 //     so PFS stores overlap the tail of the reduce instead of starting
 //     after it.
-// overlap=false selects the blocking reference path; both paths produce
-// bitwise-identical volumes (asserted by tests across all grid shapes).
+// Projection *loading* is sharded across the column: each rank reads only
+// its 1/R of the column's Np/C share and the AllGather fills in the rest, so
+// no projection is read from the PFS more than once per column.
+//
+// This is the only FDK execution path: run_distributed is one volume of
+// run_streaming, and the service layer dispatches batches through
+// run_streaming. A serial test oracle (tests/fdk_oracle.h) replays the same
+// arithmetic and pins the output bit for bit.
 //
 // Wall-clock per stage is recorded per rank and merged, along with a
 // per-thread overlap efficiency (busy/wall); a gpusim::Device per rank
@@ -63,45 +63,7 @@
 
 namespace ifdk {
 
-struct IfdkStats {
-  /// The R x C grid the run actually used (after Eq. (7) auto-selection).
-  perfmodel::GridShape grid;
-  /// Wall-clock stage seconds, max over ranks (the pipeline-critical rank):
-  /// "load", "filter", "allgather", "backprojection", "d2h", "transpose"
-  /// (overlapped path only), "reduce", "store", "compute"
-  /// (load+filter+allgather+bp span).
-  StageTimer wall;
-  /// Modeled V100 seconds summed over the device ledger of the *slowest*
-  /// rank: "v_h2d", "v_kernel", "v_d2h".
-  StageTimer device_model;
-  /// Per-thread overlap efficiency, max over ranks: busy seconds of each
-  /// pipeline thread divided by that rank's wall-clock. Entries:
-  /// "filter_thread" (load+filter), "main_thread" (column gather),
-  /// "bp_thread" (back-projection), "reduce_thread" (transpose + row
-  /// reduce + store drain; overlapped path only), "store_thread" (async
-  /// writer; 0 unless overlapped). An efficiency near 1 means the thread —
-  /// and therefore its stage — is the pipeline bottleneck; the paper's
-  /// overlap claim holds when bp_thread dominates.
-  StageTimer overlap_efficiency;
-  /// Whether the overlapped pipeline ran (IfdkOptions::overlap).
-  bool overlapped = false;
-  double wall_total = 0;
-  /// Bytes the framed row-reduce encoder was fed, summed over ranks
-  /// (0 unless IfdkOptions::compress_wire on the overlapped path).
-  std::size_t wire_raw_bytes = 0;
-  /// Frame bytes that actually went on the wire (headers included).
-  std::size_t wire_encoded_bytes = 0;
-  /// Achieved wire compression ratio raw/encoded (1 when no framed traffic
-  /// was sent).
-  double wire_ratio() const {
-    return wire_encoded_bytes == 0
-               ? 1.0
-               : static_cast<double>(wire_raw_bytes) /
-                     static_cast<double>(wire_encoded_bytes);
-  }
-};
-
-/// Aggregate result of a run_streaming call.
+/// Aggregate result of a run_streaming (or run_distributed) call.
 struct StreamingStats {
   /// The R x C grid of the FIRST volume (after Eq. (7) auto-selection);
   /// heterogeneous-geometry streams may re-split per volume — see `plans`.
@@ -121,22 +83,22 @@ struct StreamingStats {
   double wall_total = 0;
   /// volumes / wall_total — the streaming throughput headline.
   double volumes_per_second = 0;
-  /// Per-stage busy seconds summed over all volumes, max over ranks:
-  /// "load", "filter", "allgather", "backprojection", "transpose",
-  /// "reduce", "store", "d2h".
+  /// Per-stage busy seconds summed over all volumes, max over ranks (the
+  /// pipeline-critical rank): "load", "filter", "allgather",
+  /// "backprojection", "d2h", "transpose", "reduce", "store", and
+  /// "compute" (the load+filter+gather+bp span).
   StageTimer wall;
-  /// Busy/wall per pipeline thread, max over ranks: "filter_thread" (0 in
-  /// fused mode, where load+filter bill to the worker), "main_thread"
-  /// (filter+gather worker), "bp_thread", "reduce_thread" (transpose +
-  /// row-reduce + store drain), "store_thread" (async writer).
+  /// Busy/wall per pipeline thread, max over ranks: "main_thread" (load +
+  /// filter + column gather worker), "bp_thread", "reduce_thread"
+  /// (transpose + row-reduce + store drain), "store_thread" (async writer).
+  /// An efficiency near 1 marks the bottleneck stage; the paper's overlap
+  /// claim holds when bp_thread dominates.
   StageTimer overlap_efficiency;
   /// Per-volume store outcome, merged over row roots: empty string =
   /// every slice of that volume was stored; otherwise the first error the
   /// writer hit. A failed volume never aborts the stream — later volumes
   /// keep flowing and must stay bit-exact (asserted by tests).
   std::vector<std::string> volume_errors;
-  /// Whether the fused filter/gather worker ran (IfdkOptions).
-  bool fused_filter_gather = false;
   /// Modeled V100 seconds summed over the device ledger of the slowest
   /// rank, whole stream: "v_h2d", "v_kernel", "v_d2h".
   StageTimer device_model;
@@ -185,7 +147,8 @@ struct StreamingStats {
 /// consecutive plans resolve to different R x C grids the ranks re-split
 /// the world between epochs. Output volumes are bitwise-identical to
 /// volumes.size() sequential run_distributed calls with the same options
-/// and per-volume geometries. A PFS *write* failure on volume v fails only
+/// and per-volume geometries, whatever the reduce segment size. A PFS
+/// *write* failure on volume v fails only
 /// that volume (see StreamingStats::volume_errors); any other rank failure
 /// aborts the world and is rethrown, with every in-flight collective epoch
 /// unwound.
@@ -197,21 +160,16 @@ StreamingStats run_streaming(const geo::CbctGeometry& geometry,
 /// Runs the full distributed pipeline for ONE volume: reads projections
 /// `<input_prefix><s>` (raw float Nu*Nv objects, s in [0, Np)) from `fs`,
 /// writes slices `<output_prefix><k>` (raw float Nx*Ny objects, k in
-/// [0, Nz)). Requires Np % ranks == 0 and even Nz divisible by 2*rows;
-/// violations throw ConfigError naming the offending values. A failure on
-/// any rank (I/O, device memory, PFS write, ...) is rethrown here; no
-/// complete output volume is left behind in that case.
-///
-/// With IfdkOptions::overlap (the default) this is a documented one-volume
-/// wrapper over the streaming execution core — the exact plan/epoch
-/// machinery run_streaming and the service layer use, with a dedicated
-/// Filtering-thread — so there is a single overlapped pipeline
-/// implementation to maintain. overlap=false runs the self-contained
-/// blocking reference path (plain allgather + blocking reduce + serial
-/// store); both produce bitwise-identical volumes.
-IfdkStats run_distributed(const geo::CbctGeometry& geometry,
-                          pfs::ParallelFileSystem& fs,
-                          const IfdkOptions& options);
+/// [0, Nz)). This is run_streaming over one JobSpec carrying the options'
+/// prefixes, with the same validation (messages name "volume 0"); the
+/// returned stats describe that one-volume stream. Requires Np % ranks == 0
+/// and even Nz divisible by 2*rows; violations throw ConfigError naming the
+/// offending values. A failure on any rank (I/O, device memory, ...) is
+/// rethrown here, and so is a PFS write failure of the volume (as IoError);
+/// no complete output volume is left behind in either case.
+StreamingStats run_distributed(const geo::CbctGeometry& geometry,
+                               pfs::ParallelFileSystem& fs,
+                               const IfdkOptions& options);
 
 /// Helper: stores all projections of a stack into `fs` under
 /// `<input_prefix><s>` so examples/tests can stage inputs the way a scanner

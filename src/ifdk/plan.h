@@ -36,13 +36,6 @@
 
 namespace ifdk {
 
-/// Fan-in topology of the segmented row ireduce (mirrors mpi::ReduceAlgo;
-/// this header deliberately does not include minimpi.h).
-/// kTree is the default; kLinear is kept for bitwise back-compat tests —
-/// both produce bitwise-identical volumes because the tree relays only
-/// concatenate and the root folds in ascending-rank order either way.
-enum class ReduceFanIn { kTree, kLinear };
-
 struct IfdkOptions {
   /// Total ranks (= simulated GPUs). Must be a multiple of the row count.
   int ranks = 4;
@@ -65,36 +58,17 @@ struct IfdkOptions {
   std::size_t bp_batch = 32;
   /// Circular-buffer depth (Fig. 4a); also the async store queue depth.
   std::size_t queue_capacity = 8;
-  /// Use the ring AllGather instead of gather+bcast for the column
-  /// collective (identical results; the bandwidth-optimal algorithm the
-  /// simulator's cost model assumes). Only meaningful when overlap=false:
-  /// the overlapped pipeline always uses the nonblocking ring.
-  bool use_ring_allgather = false;
-  /// Run the overlapped pipeline: double-buffered nonblocking column
-  /// AllGather across rounds, segmented pipelined row ireduce, and an async
-  /// PFS store on the row root. false selects the blocking reference path.
-  /// Both paths produce bitwise-identical volumes.
-  bool overlap = true;
   /// Floats per row-ireduce segment (must be identical on every rank).
   /// Smaller segments start the store earlier; larger ones amortize
-  /// per-message cost. Matches mpi::Comm::kDefaultReduceSegment.
+  /// per-message cost. Volumes are bitwise-identical for every value (the
+  /// fold is element-wise). Matches mpi::Comm::kDefaultReduceSegment.
   std::size_t reduce_segment_floats = std::size_t{1} << 16;
-  /// Fan-in topology of the segmented row ireduce (overlapped path and
-  /// streaming mode). Tree and linear produce bitwise-identical volumes.
-  ReduceFanIn reduce_fan_in = ReduceFanIn::kTree;
-  /// Streaming mode only: fuse filtering onto the gather worker thread —
-  /// the worker posts its filtered block and the irecvs for round t, then
-  /// filters round t+1 while t's messages are in flight, then waits the
-  /// irecvs (the paper's same-thread overlap). false runs the dedicated
-  /// Filtering-thread exactly like run_distributed. Both settings produce
-  /// bitwise-identical volumes.
-  bool fuse_filter_gather = true;
   /// Frame the row-ireduce wire traffic with the lossless postproc codec
   /// (byte-plane shuffle + RLE, raw fallback): senders compress segments,
   /// tree relays concatenate the self-describing frames verbatim, the root
   /// decompresses before the fold. Lossless by construction, so volumes are
   /// bitwise identical to compress_wire=false (pinned by test); the achieved
-  /// ratio is reported in StreamingStats/IfdkStats.
+  /// ratio is reported in StreamingStats.
   bool compress_wire = false;
   /// Simulated per-rank GPU (memory budget + modeled PCIe/kernel rates).
   gpusim::DeviceSpec device;
@@ -202,23 +176,12 @@ struct DecompositionPlan {
 
   /// Segments of one row-ireduce epoch: ceil(slab_floats / segment).
   std::uint64_t reduce_segments() const;
-  /// Collective tags one row-reduce epoch reserves (one per segment,
-  /// identical for tree and linear fan-in).
+  /// Collective tags one row-reduce epoch reserves (one per segment). The
+  /// column gather exchanges over user tags and reserves none.
   std::uint64_t reduce_tag_budget() const { return reduce_segments(); }
-  /// Collective tags one ring AllGather round reserves on the column
-  /// communicator (p - 1 = R - 1; zero for the fused worker, which
-  /// exchanges over user tags).
-  std::uint64_t gather_tags_per_round(bool fused) const {
-    return fused ? 0 : static_cast<std::uint64_t>(grid.rows - 1);
-  }
-  /// Collective tags one full volume epoch reserves on the column
-  /// communicator: rounds * gather_tags_per_round.
-  std::uint64_t gather_tag_budget(bool fused) const {
-    return static_cast<std::uint64_t>(rounds) * gather_tags_per_round(fused);
-  }
 
-  /// Bytes one rank sends per ring-AllGather round: (R - 1) blocks of one
-  /// projection each (the fused worker sends the same payload over p2p).
+  /// Bytes one rank sends per column-gather round: (R - 1) blocks of one
+  /// projection each.
   std::uint64_t allgather_bytes_per_round() const;
   /// Bytes one non-root rank contributes to a row-reduce epoch (the slab
   /// pair; tree relays forward concatenations on top of this).

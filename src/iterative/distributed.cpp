@@ -101,8 +101,7 @@ class IterativeWorkload final : public engine::Workload {
       ctx.wall.time("allreduce", [&] {
         mpi::Comm::CollectiveRequest req = world.ireduce(
             v.data(), rank == 0 ? reduce_recv.data() : nullptr, v.voxels(),
-            mpi::ReduceOp::kSum, /*root=*/0, plan.reduce_segment_floats, {},
-            mpi::ReduceAlgo::kTree);
+            mpi::ReduceOp::kSum, /*root=*/0, plan.reduce_segment_floats);
         req.wait();
         if (rank == 0) {
           std::copy(reduce_recv.begin(), reduce_recv.begin() + v.voxels(),

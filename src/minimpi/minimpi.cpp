@@ -342,9 +342,8 @@ Comm::CollectiveRequest Comm::iallgather_ring(const void* send_data,
               send_data, bytes_per_rank);
   if (p == 1) return CollectiveRequest([] {});
 
-  // Same tag budget as the blocking ring (p-1 steps), reserved *now* so any
-  // collective initiated while this one is outstanding gets later tags on
-  // every rank.
+  // One tag per exchange step (p-1), reserved *now* so any collective
+  // initiated while this one is outstanding gets later tags on every rank.
   const int tag = reserve_collective_tags(static_cast<std::uint64_t>(p - 1));
 
   const int next = (rank_ + 1) % p;
@@ -429,7 +428,7 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
                                       std::size_t count, ReduceOp op, int root,
                                       std::size_t segment_floats,
                                       SegmentCallback on_segment,
-                                      ReduceAlgo algo, const WireCodec* wire) {
+                                      const WireCodec* wire) {
   IFDK_ASSERT(root >= 0 && root < size());
   IFDK_ASSERT_MSG(segment_floats > 0,
                   "ireduce segment size must be positive (and identical on "
@@ -446,90 +445,26 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
                   "ireduce wire codec requires both encode and decode");
   const WireCodec codec = use_wire ? *wire : WireCodec{};
   // Per segment, every non-root vrank sends exactly one message to its
-  // parent (the linear fan-in is the depth-1 tree), so both algorithms
-  // consume the same tag budget: one sequence number per segment. Framing
+  // parent, so the reduce consumes one sequence number per segment. Framing
   // changes message *sizes*, never message *count*, so the budget holds
   // with a wire codec too.
   const int tag = reserve_collective_tags(segments);
   const int p = size();
 
-  if (algo == ReduceAlgo::kLinear && rank_ != root) {
-    // Sends are buffered: post every segment eagerly and complete at once.
-    // The pipelining happens at the root, which folds segment s while the
-    // payload of s+1 is already sitting in its mailbox.
-    for (std::size_t s = 0; s < segments; ++s) {
-      const std::size_t offset = s * segment_floats;
-      const std::size_t len = std::min(segment_floats, count - offset);
-      if (use_wire) {
-        const std::vector<std::uint8_t> frame =
-            codec.encode(send_data + offset, len);
-        world_->post(comm_id_, members_[static_cast<std::size_t>(root)],
-                     rank_, tag + static_cast<int>(s), frame.data(),
-                     frame.size());
-      } else {
-        world_->post(comm_id_, members_[static_cast<std::size_t>(root)],
-                     rank_, tag + static_cast<int>(s), send_data + offset,
-                     len * sizeof(float));
-      }
-    }
-    return CollectiveRequest([] {});
-  }
-
-  if (algo == ReduceAlgo::kLinear) {
-    IFDK_ASSERT_MSG(recv != nullptr, "ireduce root requires a receive buffer");
-    return CollectiveRequest([world = world_, comm_id = comm_id_,
-                              members = members_, rank = rank_, p, send_data,
-                              recv, count, op, root, segment_floats, segments,
-                              tag, use_wire, codec,
-                              on_segment = std::move(on_segment)] {
-      const int my_world = members[static_cast<std::size_t>(rank)];
-      std::vector<float> incoming(std::min(segment_floats, count));
-      for (std::size_t s = 0; s < segments; ++s) {
-        const std::size_t offset = s * segment_floats;
-        const std::size_t len = std::min(segment_floats, count - offset);
-        // Identical fold order to the blocking reduce(): start from rank 0's
-        // contribution, fold ascending — bitwise-equal results by design.
-        for (int r = 0; r < p; ++r) {
-          const float* contribution;
-          if (r == root) {
-            contribution = send_data + offset;
-          } else if (use_wire) {
-            const std::vector<char> block = world->fetch_any(
-                comm_id, my_world, r, tag + static_cast<int>(s));
-            decode_frame_block(codec, block, 1, len, incoming.data());
-            contribution = incoming.data();
-          } else {
-            world->fetch(comm_id, my_world, r, tag + static_cast<int>(s),
-                         incoming.data(), len * sizeof(float));
-            contribution = incoming.data();
-          }
-          if (r == 0) {
-            std::memcpy(recv + offset, contribution, len * sizeof(float));
-          } else {
-            for (std::size_t i = 0; i < len; ++i) {
-              recv[offset + i] =
-                  apply_op(op, recv[offset + i], contribution[i]);
-            }
-          }
-        }
-        if (on_segment) on_segment(offset, len);
-      }
-    });
-  }
-
-  // -- ReduceAlgo::kTree ----------------------------------------------------
   // Contributions climb a binomial tree of virtual ranks (vrank = rank
   // rotated so the root is vrank 0). Relays only *concatenate* — their
   // upward message is the ascending-vrank concatenation of every
   // contribution in their subtree — and the root alone folds, in ascending
   // *communicator* rank order, so the summation order is exactly reduce()'s
-  // and the result is bitwise identical to ReduceAlgo::kLinear.
+  // and the result is bitwise identical to it.
   const FanInTree tree{p};
   const int vrank = (rank_ - root + p) % p;
 
   if (tree.span(vrank) == 1 && vrank != 0) {
-    // Leaf: one single-contribution message per segment to the parent,
-    // posted eagerly exactly like the linear non-root path.
+    // Leaf: one single-contribution message per segment to the parent.
+    // Sends are buffered, so every segment is posted eagerly and the
+    // request completes at once; the pipelining happens at the root, which
+    // folds segment s while the payload of s+1 already sits in its mailbox.
     const int parent =
         members_[static_cast<std::size_t>((tree.parent(vrank) + root) % p)];
     for (std::size_t s = 0; s < segments; ++s) {
@@ -554,8 +489,8 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
     // assembled [v, v+span) block to the parent. Runs inside wait().
     // With a wire codec the relay never decodes: frames are self-describing,
     // so the upward block is this rank's own frame followed by the children's
-    // byte blocks verbatim — the concatenate-only invariant that keeps tree
-    // results bitwise identical to linear carries over to framed traffic.
+    // byte blocks verbatim — the concatenate-only invariant that keeps
+    // results bitwise identical to reduce() carries over to framed traffic.
     return CollectiveRequest([world = world_, comm_id = comm_id_,
                               members = members_, rank = rank_, p, root,
                               vrank, tree, send_data, count, segment_floats,
@@ -676,36 +611,6 @@ void Comm::allgather(const void* send_data, std::size_t bytes_per_rank,
   bcast(recv, bytes_per_rank * static_cast<std::size_t>(size()), 0);
 }
 
-void Comm::allgather_ring(const void* send_data, std::size_t bytes_per_rank,
-                          void* recv) {
-  const int p = size();
-  char* out = static_cast<char*>(recv);
-  auto block = [&](int r) {
-    return out + static_cast<std::size_t>(r) * bytes_per_rank;
-  };
-  std::memcpy(block(rank_), send_data, bytes_per_rank);
-  if (p == 1) return;  // no steps, no tags consumed
-
-  // The p-1 neighbour-exchange steps use tags tag .. tag + p - 2; reserve
-  // exactly that many sequence numbers so interleaving with other
-  // collectives on this communicator stays in sync on every rank.
-  const int tag = reserve_collective_tags(static_cast<std::uint64_t>(p - 1));
-
-  const int next = (rank_ + 1) % p;
-  const int prev = (rank_ + p - 1) % p;
-  const int my_world = members_[static_cast<std::size_t>(rank_)];
-  // Step s: forward the block originated by rank (rank - s) to the right
-  // neighbour; after p-1 steps every rank holds every block.
-  for (int s = 0; s < p - 1; ++s) {
-    const int send_block = (rank_ + p - s) % p;
-    const int recv_block = (rank_ + p - s - 1) % p;
-    world_->post(comm_id_, members_[static_cast<std::size_t>(next)], rank_,
-                 tag + s, block(send_block), bytes_per_rank);
-    world_->fetch(comm_id_, my_world, prev, tag + s, block(recv_block),
-                  bytes_per_rank);
-  }
-}
-
 void Comm::reduce(const float* send_data, float* recv, std::size_t count,
                   ReduceOp op, int root) {
   IFDK_ASSERT(root >= 0 && root < size());
@@ -740,42 +645,6 @@ void Comm::reduce(const float* send_data, float* recv, std::size_t count,
   } else {
     world_->post(comm_id_, members_[static_cast<std::size_t>(root)], rank_,
                  tag, send_data, bytes);
-  }
-}
-
-void Comm::reduce_tree(const float* send_data, float* recv, std::size_t count,
-                       ReduceOp op, int root) {
-  IFDK_ASSERT(root >= 0 && root < size());
-  const int p = size();
-  const int tag = reserve_collective_tags(1);
-  const int my_world = members_[static_cast<std::size_t>(rank_)];
-  // Rotate ranks so the tree is rooted at `root`.
-  const int vrank = (rank_ - root + p) % p;
-  std::vector<float> acc(send_data, send_data + count);
-  std::vector<float> incoming(count);
-  const std::size_t bytes = count * sizeof(float);
-
-  // Binomial tree: in round k, virtual ranks with bit k set send their
-  // partial to vrank - 2^k and drop out; others fold the received partial.
-  for (int mask = 1; mask < p; mask <<= 1) {
-    if (vrank & mask) {
-      const int dst = ((vrank - mask) + root) % p;
-      world_->post(comm_id_, members_[static_cast<std::size_t>(dst)], rank_,
-                   tag, acc.data(), bytes);
-      break;
-    }
-    const int src_v = vrank + mask;
-    if (src_v < p) {
-      const int src = (src_v + root) % p;
-      world_->fetch(comm_id_, my_world, src, tag, incoming.data(), bytes);
-      for (std::size_t i = 0; i < count; ++i) {
-        acc[i] = apply_op(op, acc[i], incoming[i]);
-      }
-    }
-  }
-  if (rank_ == root) {
-    IFDK_ASSERT_MSG(recv != nullptr, "reduce root requires a receive buffer");
-    std::memcpy(recv, acc.data(), bytes);
   }
 }
 

@@ -8,11 +8,12 @@
 // see the LLNL MPI programming model and Core Guidelines CP.mess).
 //
 // Supported surface (everything iFDK needs, Section 4.1):
-//   * point-to-point: send / recv with tags (plus nonblocking isend/irecv),
+//   * point-to-point: send / recv with tags, plus nonblocking isend/irecv
+//     (the FDK column gather runs over these),
 //   * collectives: barrier, bcast, gather, allgather, reduce, allreduce,
 //   * nonblocking collectives: iallgather_ring and a chunked, pipelined
-//     ireduce (linear or binomial-tree fan-in per segment), each returning a
-//     waitable CollectiveRequest (the overlap primitives of the Fig. 4
+//     ireduce with binomial-tree fan-in per segment, each returning a
+//     waitable CollectiveRequest (ireduce is the row Reduce of the Fig. 4
 //     pipeline); tag blocks are reserved at initiation, so any number of
 //     collective epochs compose on one communicator (the streaming-4DCT
 //     mode keeps per-volume epochs in flight),
@@ -36,22 +37,6 @@
 namespace ifdk::mpi {
 
 enum class ReduceOp { kSum, kMax, kMin };
-
-/// Fan-in topology of the segmented ireduce.
-///   * kLinear: every rank posts its segments straight to the root, which
-///     folds them in ascending-rank order — the PR 3 algorithm, kept for
-///     bitwise back-compat tests and as the degenerate p<=2 path.
-///   * kTree: per-segment binomial fan-in. Contributions travel up a binomial
-///     tree rooted (virtually) at the reduce root: each relay concatenates
-///     its subtree's contributions and forwards one message, so the root
-///     waits on ceil(log2 p) messages per segment instead of p-1, and the
-///     fan-in latency is spread across the tree. The *summation order is the
-///     same on every path* — relays never fold, only the root does, in
-///     ascending-rank order — so results are bitwise identical to kLinear
-///     (asserted by tests). Relays pay extra copy bandwidth, the in-process
-///     analogue of the switch contention a flat fan-in causes on a real
-///     fabric.
-enum class ReduceAlgo { kLinear, kTree };
 
 namespace detail {
 class World;
@@ -217,9 +202,10 @@ class Comm {
   /// collective_tags_reserved() can account for the wrap skip exactly.
   static constexpr std::uint64_t kCollectiveTagWindow = std::uint64_t{1} << 20;
 
-  /// Nonblocking ring AllGather. Semantics and output are identical to
-  /// allgather_ring() (same tag consumption: p-1 collective sequence
-  /// numbers, reserved at initiation). The caller's block is copied into
+  /// Nonblocking ring AllGather: p-1 neighbour-exchange steps, each moving
+  /// one block. Output is identical to allgather(); it consumes p-1
+  /// collective sequence numbers, reserved at initiation. The caller's
+  /// block is copied into
   /// `recv` and the first neighbour exchange is posted before returning, so
   /// neighbours that wait early never stall on this rank's initiation; the
   /// remaining p-2 exchange steps run inside wait(). `send_data` may be
@@ -235,13 +221,14 @@ class Comm {
   /// segment s overlaps the delivery of segment s+1, and `on_segment`
   /// (root only, may be empty) streams finished segments to a consumer
   /// (e.g. an async PFS writer) while later segments are still in flight.
-  /// With ReduceAlgo::kTree (the default) segments fan in over a binomial
-  /// tree whose relay ranks forward inside *their* wait(); with kLinear
-  /// every rank posts straight to the root. Either way the per-element fold
-  /// order is ascending rank, exactly like reduce(), so results are bitwise
-  /// identical across algorithms and to the blocking linear reduce.
+  /// Segments fan in over a binomial tree rooted (virtually) at `root`:
+  /// each relay concatenates its subtree's contributions and forwards one
+  /// message inside *its* wait(), so the root waits on ceil(log2 p)
+  /// messages per segment instead of p-1. Relays never fold; the root
+  /// alone folds, in ascending-rank order exactly like reduce(), so results
+  /// are bitwise identical to the blocking reduce for every segment size.
   /// `segment_floats` must be positive and identical on every rank (it
-  /// determines the number of reserved tags; `algo` must match too).
+  /// determines the number of reserved tags).
   /// `recv` may be null on non-root ranks and must not alias `send_data` on
   /// the root. Multiple ireduce epochs may be in flight on one communicator
   /// (each reserves its own tag block at initiation) as long as every
@@ -259,7 +246,6 @@ class Comm {
                             std::size_t count, ReduceOp op, int root,
                             std::size_t segment_floats = kDefaultReduceSegment,
                             SegmentCallback on_segment = {},
-                            ReduceAlgo algo = ReduceAlgo::kTree,
                             const WireCodec* wire = nullptr);
 
   // -- collectives ---------------------------------------------------------
@@ -280,30 +266,15 @@ class Comm {
   void sendrecv(int dest, const void* send_data, int src, void* recv_data,
                 std::size_t bytes, int tag);
 
-  /// AllGather (the Fig. 3b column collective): every rank ends up with the
-  /// rank-ordered concatenation of all contributions. Dispatches to the
-  /// configured algorithm (gather+bcast by default; ring available).
+  /// AllGather: every rank ends up with the rank-ordered concatenation of
+  /// all contributions (gather to rank 0 + bcast).
   void allgather(const void* send_data, std::size_t bytes_per_rank,
                  void* recv);
 
-  /// Ring AllGather: P-1 neighbour exchange steps, each moving one block —
-  /// the bandwidth-optimal algorithm large MPI implementations use for big
-  /// payloads (and the one the cluster simulator's cost model assumes).
-  /// Output is identical to allgather().
-  void allgather_ring(const void* send_data, std::size_t bytes_per_rank,
-                      void* recv);
-
-  /// Element-wise float reduction to `root` (the Fig. 3b row collective).
-  /// Reduction order is fixed (ascending rank), making results deterministic.
+  /// Element-wise float reduction to `root`. Reduction order is fixed
+  /// (ascending rank), making results deterministic.
   void reduce(const float* send_data, float* recv, std::size_t count,
               ReduceOp op, int root);
-
-  /// Binomial-tree reduce: log2(P) rounds instead of P-1 messages at the
-  /// root. Floating-point summation order differs from reduce() (pairwise
-  /// instead of linear), so results are deterministic but not bitwise equal
-  /// to the linear algorithm.
-  void reduce_tree(const float* send_data, float* recv, std::size_t count,
-                   ReduceOp op, int root);
 
   /// reduce followed by bcast.
   void allreduce(const float* send_data, float* recv, std::size_t count,

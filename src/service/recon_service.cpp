@@ -286,14 +286,6 @@ JobHandle ReconService::submit(JobSpec spec) {
           std::to_string(plan.reduce_segment_floats) + ") or rows R (" +
           std::to_string(plan.grid.rows) + ")");
     }
-    const std::uint64_t gather_budget =
-        plan.gather_tag_budget(options_.ifdk.fuse_filter_gather);
-    if (gather_budget > window) {
-      throw reject("one column-gather epoch reserves " +
-                   std::to_string(gather_budget) +
-                   " collective tags but the communicator tag window holds " +
-                   std::to_string(window));
-    }
   }
 
   auto job = std::make_shared<detail::JobRecord>();

@@ -182,8 +182,8 @@ class JobHandle {
   int dispatch_seq() const;
   /// The R x C grid the job's plan resolved (valid once dispatched).
   perfmodel::GridShape grid() const;
-  /// Per-stage wall seconds of the stream that carried this job (the
-  /// IfdkStats-like timing breakdown: load/filter/allgather/backprojection/
+  /// Per-stage wall seconds of the stream that carried this job
+  /// (StreamingStats::wall: load/filter/allgather/backprojection/
   /// transpose/reduce/store/compute, max over ranks). Batch-level: jobs
   /// dispatched together share one stream and therefore one breakdown.
   StageTimer wall() const;

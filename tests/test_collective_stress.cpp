@@ -1,6 +1,6 @@
 // Randomized collective stress harness: seeded interleavings of
 // point-to-point traffic, blocking collectives, and nonblocking collectives
-// (both ireduce fan-ins) across 2-8 ranks, with out-of-order waits of the
+// across 2-8 ranks, with out-of-order waits of the
 // outstanding handles and mid-stream aborts. Every rank derives the SAME
 // op program from the seed (op types, roots, counts, segment sizes, wait
 // schedule — the global consistency the minimpi progress model requires),
@@ -40,7 +40,7 @@ float apply(ReduceOp op, float a, float b) {
 }
 
 /// The linear ascending-rank fold — the canonical summation order that both
-/// reduce() and ireduce (linear AND tree fan-in) must reproduce bitwise.
+/// reduce() and the tree-fan-in ireduce must reproduce bitwise.
 float expected_fold(ReduceOp op, int p, int op_id, std::size_t i) {
   float acc = val(0, op_id, i);
   for (int r = 1; r < p; ++r) acc = apply(op, acc, val(r, op_id, i));
@@ -151,8 +151,6 @@ void run_program(Comm& comm, const Program& prog) {
     const ReduceOp rop = kind % 3 == 0   ? ReduceOp::kSum
                          : kind % 3 == 1 ? ReduceOp::kMax
                                          : ReduceOp::kMin;
-    const ReduceAlgo algo =
-        rng.next_below(2) == 0 ? ReduceAlgo::kTree : ReduceAlgo::kLinear;
     // Force drains so the pending pool stays bounded; otherwise wait a
     // seeded-random outstanding handle ~1 op in 5.
     const bool must_drain = pending.size() >= 5;
@@ -209,12 +207,12 @@ void run_program(Comm& comm, const Program& prog) {
     } else if (kind < 55) {
       const std::vector<float> mine = make_payload(comm.rank(), op_id, count);
       std::vector<float> out(static_cast<std::size_t>(p) * count);
-      comm.allgather_ring(mine.data(), count * sizeof(float), out.data());
+      comm.allgather(mine.data(), count * sizeof(float), out.data());
       for (int r = 0; r < p; ++r) {
         for (std::size_t i = 0; i < count; ++i) {
           ASSERT_EQ(out[static_cast<std::size_t>(r) * count + i],
                     val(r, op_id, i))
-              << "allgather_ring op " << op_id;
+              << "allgather op " << op_id;
         }
       }
     } else if (kind < 72) {
@@ -238,7 +236,7 @@ void run_program(Comm& comm, const Program& prog) {
       rd->out.resize(comm.rank() == root ? count : 0);
       rd->req = comm.ireduce(rd->send.data(),
                              comm.rank() == root ? rd->out.data() : nullptr,
-                             count, rop, root, segment, {}, algo);
+                             count, rop, root, segment);
       pending.push_back(std::move(rd));
     } else {
       comm.barrier();

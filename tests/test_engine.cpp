@@ -2,10 +2,9 @@
 // runtime — object naming, the z-major slice permutation, root-cause error
 // selection, the collective tag-budget check (including the wrap-skip
 // allowance), the EpochComms re-split cache, and the VolumeWriterSet
-// poison-isolation contract — plus the engine-level FDK pin: the streaming
-// workload and the blocking workload are two independent engine Workload
-// implementations and must produce bitwise-identical volumes across
-// mixed-geometry streams.
+// poison-isolation contract — plus the engine-level FDK pin: a
+// mixed-geometry stream through the FDK engine Workload must match the
+// serial oracle (tests/fdk_oracle.h) bit for bit, volume by volume.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,6 +15,7 @@
 
 #include "common/error.h"
 #include "engine/engine.h"
+#include "fdk_oracle.h"
 #include "ifdk/framework.h"
 #include "minimpi/minimpi.h"
 #include "phantom/phantom.h"
@@ -205,14 +205,13 @@ TEST(VolumeWriterSetTest, WriteFailurePoisonsOnlyThatVolume) {
 
 // ---- FDK-via-engine bitwise pin ---------------------------------------------
 //
-// run_streaming's FdkStreamWorkload and run_distributed(overlap=false)'s
-// BlockingFdkWorkload are two INDEPENDENT Workload implementations on
-// engine::run. Producing bitwise-identical volumes across mixed-geometry
-// streams pins the refactor: the engine seams (comm cache, writer set, slice
-// permutation, error protocol) cannot have perturbed either pipeline's
-// arithmetic.
+// run_streaming's FdkStreamWorkload runs on engine::run; the serial oracle
+// replays the same arithmetic with no engine, threads or messages at all.
+// Bitwise-identical volumes across a mixed-geometry stream pin the engine
+// seams (comm cache, writer set, slice permutation, error protocol): none of
+// them can have perturbed the pipeline's arithmetic.
 
-TEST(FdkViaEngine, StreamingBitwiseMatchesBlockingAcrossMixedGeometries) {
+TEST(FdkViaEngine, MixedGeometryStreamMatchesSerialOracle) {
   const std::vector<ifdk::Problem> problems = {
       {{32, 32, 16}, {12, 12, 12}},  // base grid
       {{32, 32, 16}, {12, 12, 8}},   // new slab extents, same grid
@@ -220,17 +219,16 @@ TEST(FdkViaEngine, StreamingBitwiseMatchesBlockingAcrossMixedGeometries) {
   };
 
   std::vector<geo::CbctGeometry> geoms;
+  std::vector<std::vector<Image2D>> frames;
   std::vector<JobSpec> volumes;
-  pfs::ParallelFileSystem fs_stream;
-  pfs::ParallelFileSystem fs_block;
+  pfs::ParallelFileSystem fs;
   for (std::size_t v = 0; v < problems.size(); ++v) {
     geoms.push_back(geo::make_standard_geometry(problems[v]));
     JobSpec spec{"in" + std::to_string(v) + "/",
                  "out" + std::to_string(v) + "/slice_", geoms.back()};
-    const auto frames = phantom::project_all(phantom::shepp_logan(),
-                                             geoms.back());
-    stage_projections(fs_stream, spec.input_prefix, frames);
-    stage_projections(fs_block, spec.input_prefix, frames);
+    frames.push_back(
+        phantom::project_all(phantom::shepp_logan(), geoms.back()));
+    stage_projections(fs, spec.input_prefix, frames.back());
     volumes.push_back(std::move(spec));
   }
 
@@ -238,29 +236,19 @@ TEST(FdkViaEngine, StreamingBitwiseMatchesBlockingAcrossMixedGeometries) {
   opts.ranks = 4;
   opts.rows = 2;
 
-  const StreamingStats stats =
-      run_streaming(geoms[0], fs_stream, opts, volumes);
+  const StreamingStats stats = run_streaming(geoms[0], fs, opts, volumes);
   ASSERT_EQ(stats.volumes, static_cast<int>(problems.size()));
   for (const std::string& err : stats.volume_errors) {
     EXPECT_TRUE(err.empty()) << err;
   }
 
-  IfdkOptions blocking = opts;
-  blocking.overlap = false;
   for (std::size_t v = 0; v < volumes.size(); ++v) {
-    blocking.input_prefix = volumes[v].input_prefix;
-    blocking.output_prefix = volumes[v].output_prefix;
-    run_distributed(geoms[v], fs_block, blocking);
-  }
-
-  for (std::size_t v = 0; v < volumes.size(); ++v) {
-    const Volume vs =
-        load_volume(fs_stream, volumes[v].output_prefix, geoms[v].vol_dims());
-    const Volume vb =
-        load_volume(fs_block, volumes[v].output_prefix, geoms[v].vol_dims());
-    for (std::size_t n = 0; n < vs.voxels(); ++n) {
-      ASSERT_EQ(vs.data()[n], vb.data()[n]) << "volume " << v << ", voxel "
-                                            << n;
+    const Volume streamed =
+        load_volume(fs, volumes[v].output_prefix, geoms[v].vol_dims());
+    const Volume oracle = distributed_fdk_oracle(geoms[v], frames[v], opts);
+    for (std::size_t n = 0; n < streamed.voxels(); ++n) {
+      ASSERT_EQ(streamed.data()[n], oracle.data()[n])
+          << "volume " << v << ", voxel " << n;
     }
   }
 }

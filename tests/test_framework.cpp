@@ -1,17 +1,20 @@
 // Integration tests for the iFDK distributed framework: end-to-end
-// distributed reconstruction against the single-node reference, every grid
-// shape, slab-pair decomposition correctness, device-memory enforcement, and
-// the staging helpers.
+// distributed reconstruction against the single-node reference and against
+// the serial bitwise oracle (tests/fdk_oracle.h), every grid shape,
+// slab-pair decomposition correctness, device-memory enforcement, failure
+// injection, and the staging helpers.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <initializer_list>
 #include <string>
 
 #include "backproj/backprojector.h"
 #include "common/error.h"
+#include "fdk_oracle.h"
 #include "ifdk/fdk.h"
 #include "ifdk/framework.h"
 #include "minimpi/minimpi.h"
@@ -110,7 +113,7 @@ TEST_P(GridShapes, DistributedMatchesSingleNode) {
   IfdkOptions opts;
   opts.ranks = ranks;
   opts.rows = rows;
-  const IfdkStats stats = run_distributed(s.g, fs, opts);
+  const StreamingStats stats = run_distributed(s.g, fs, opts);
   EXPECT_EQ(stats.grid.rows, rows);
   EXPECT_EQ(stats.grid.columns, ranks / rows);
 
@@ -133,42 +136,48 @@ INSTANTIATE_TEST_SUITE_P(
 class OverlapEquivalence
     : public ::testing::TestWithParam<std::pair<int, int>> {};  // ranks, rows
 
-TEST_P(OverlapEquivalence, OverlappedVolumeIsBitwiseIdenticalToBlocking) {
-  // The tentpole invariant: the overlapped pipeline (nonblocking ring
-  // AllGather double-buffered across rounds, segmented pipelined row
-  // ireduce, async PFS store) must reproduce the blocking path bit for bit.
+TEST_P(OverlapEquivalence, MatchesSerialOracleBitwise) {
+  // The pipeline's bitwise pin: run_distributed and a one-volume
+  // run_streaming (the fused gather worker, double-buffered across rounds;
+  // the segmented tree ireduce; the async PFS store) must reproduce the
+  // serial oracle's arithmetic bit for bit, for every segment size.
   const auto [ranks, rows] = GetParam();
   const Scene s = make_scene(48, 24, 12);
 
-  pfs::ParallelFileSystem fs_blocking;
-  stage_projections(fs_blocking, "proj/", s.projections);
-  IfdkOptions blocking;
-  blocking.ranks = ranks;
-  blocking.rows = rows;
-  blocking.overlap = false;
-  run_distributed(s.g, fs_blocking, blocking);
-  const Volume ref = load_volume(fs_blocking, "vol/slice_", s.g.vol_dims());
-
-  // Exercise segment sizes around the slice granularity: smaller than a
-  // slice, non-divisible, and the default (larger than the whole slab).
+  // Segment sizes around the slice granularity: smaller than a slice,
+  // non-divisible, and the default (larger than the whole slab).
   for (const std::size_t segment :
        {std::size_t{64}, std::size_t{1000},
         mpi::Comm::kDefaultReduceSegment}) {
+    IfdkOptions opts;
+    opts.ranks = ranks;
+    opts.rows = rows;
+    opts.reduce_segment_floats = segment;
+    const Volume oracle =
+        distributed_fdk_oracle(s.g, s.projections, opts);
+    const std::string context = "grid " + std::to_string(rows) + "x" +
+                                std::to_string(ranks / rows) + ", segment " +
+                                std::to_string(segment);
+
     pfs::ParallelFileSystem fs;
     stage_projections(fs, "proj/", s.projections);
-    IfdkOptions overlapped;
-    overlapped.ranks = ranks;
-    overlapped.rows = rows;
-    overlapped.overlap = true;
-    overlapped.reduce_segment_floats = segment;
-    const IfdkStats stats = run_distributed(s.g, fs, overlapped);
-    EXPECT_TRUE(stats.overlapped);
-    const Volume vol = load_volume(fs, "vol/slice_", s.g.vol_dims());
-    for (std::size_t n = 0; n < ref.voxels(); ++n) {
-      ASSERT_EQ(vol.data()[n], ref.data()[n])
-          << "grid " << rows << "x" << ranks / rows << ", segment " << segment
-          << ", voxel " << n;
-    }
+    run_distributed(s.g, fs, opts);
+    const Volume distributed = load_volume(fs, "vol/slice_", s.g.vol_dims());
+    EXPECT_EQ(std::memcmp(distributed.data(), oracle.data(),
+                          oracle.voxels() * sizeof(float)),
+              0)
+        << "run_distributed, " << context;
+
+    pfs::ParallelFileSystem fs_stream;
+    stage_projections(fs_stream, "proj/", s.projections);
+    const JobSpec job{"proj/", "vol/slice_", {}};
+    run_streaming(s.g, fs_stream, opts, std::span<const JobSpec>(&job, 1));
+    const Volume streamed =
+        load_volume(fs_stream, "vol/slice_", s.g.vol_dims());
+    EXPECT_EQ(std::memcmp(streamed.data(), oracle.data(),
+                          oracle.voxels() * sizeof(float)),
+              0)
+        << "run_streaming, " << context;
   }
 }
 
@@ -178,7 +187,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<int, int>{2, 2},   // R=2, C=1 (no reduce)
                       std::pair<int, int>{2, 1},   // R=1, C=2 (no gather)
                       std::pair<int, int>{4, 2},   // R=2, C=2
-                      std::pair<int, int>{6, 3})); // R=3, C=2
+                      std::pair<int, int>{6, 3},   // R=3, C=2
+                      std::pair<int, int>{12, 6},  // R=6, C=2 minimal slabs
+                      std::pair<int, int>{8, 2})); // R=2, C=4 deep reduce
 
 TEST(Framework, OverlapStatsExposeThreadEfficiencies) {
   const Scene s = make_scene(48, 12, 12);
@@ -187,10 +198,9 @@ TEST(Framework, OverlapStatsExposeThreadEfficiencies) {
   IfdkOptions opts;
   opts.ranks = 4;
   opts.rows = 2;
-  const IfdkStats stats = run_distributed(s.g, fs, opts);
-  ASSERT_TRUE(stats.overlapped);
+  const StreamingStats stats = run_distributed(s.g, fs, opts);
   for (const char* thread :
-       {"filter_thread", "main_thread", "bp_thread", "store_thread"}) {
+       {"main_thread", "bp_thread", "reduce_thread", "store_thread"}) {
     const double eff = stats.overlap_efficiency.get(thread);
     EXPECT_GT(eff, 0.0) << thread;
     EXPECT_LE(eff, 1.0 + 1e-9) << thread;
@@ -249,7 +259,7 @@ TEST(Framework, StatsExposePipelineStages) {
   IfdkOptions opts;
   opts.ranks = 4;
   opts.rows = 2;
-  const IfdkStats stats = run_distributed(s.g, fs, opts);
+  const StreamingStats stats = run_distributed(s.g, fs, opts);
   for (const char* stage :
        {"load", "filter", "allgather", "backprojection", "reduce", "store"}) {
     EXPECT_GT(stats.wall.get(stage), 0.0) << stage;
@@ -270,7 +280,7 @@ TEST(Framework, AutoRowSelectionUsesPerfModel) {
   IfdkOptions opts;
   opts.ranks = 2;
   opts.rows = 0;  // auto
-  const IfdkStats stats = run_distributed(s.g, fs, opts);
+  const StreamingStats stats = run_distributed(s.g, fs, opts);
   EXPECT_EQ(stats.grid.rows, 1);
   EXPECT_EQ(stats.grid.columns, 2);
 }
@@ -334,7 +344,7 @@ TEST(Framework, MissingProjectionsSurfaceAsIoError) {
 }
 
 /// PFS wrapper that throws on the Nth read — the fault hits exactly one
-/// rank's Filtering-thread mid-pipeline while every other rank is healthy.
+/// rank's load path mid-pipeline while every other rank is healthy.
 class FailingReadFs : public pfs::ParallelFileSystem {
  public:
   explicit FailingReadFs(int fail_at) : fail_at_(fail_at) {}
@@ -379,18 +389,6 @@ TEST(Framework, InjectedReadFailureSurfacesAndUnblocksAllRanks) {
   }
 }
 
-TEST(Framework, InjectedReadFailureOnBlockingPath) {
-  // The blocking reference pipeline must keep the same abort guarantees.
-  const Scene s = make_scene(48, 12, 12);
-  FailingReadFs fs(/*fail_at=*/5);
-  stage_projections(fs, "proj/", s.projections);
-  IfdkOptions opts;
-  opts.ranks = 4;
-  opts.rows = 2;
-  opts.overlap = false;
-  EXPECT_THROW(run_distributed(s.g, fs, opts), Error);
-}
-
 /// PFS wrapper that throws on the Nth *slice* write: the fault hits the row
 /// root's async writer thread while the pipelined reduce is still feeding it.
 class FailingWriteFs : public pfs::ParallelFileSystem {
@@ -412,34 +410,18 @@ class FailingWriteFs : public pfs::ParallelFileSystem {
 
 TEST(Framework, InjectedWriteFailureSurfacesFromAsyncStore) {
   // A store failure on the async writer thread must surface from
-  // run_distributed on both pipeline paths, not hang the other ranks.
+  // run_distributed as the injected IoError, not hang the other ranks.
   const Scene s = make_scene(48, 12, 12);
-  for (const bool overlap : {true, false}) {
-    for (const int fail_at : {0, 7}) {
-      FailingWriteFs fs(fail_at);
-      stage_projections(fs, "proj/", s.projections);
-      IfdkOptions opts;
-      opts.ranks = 4;
-      opts.rows = 2;
-      opts.overlap = overlap;
-      opts.reduce_segment_floats = 256;  // several segments per slab
-      EXPECT_THROW(run_distributed(s.g, fs, opts), Error)
-          << "overlap " << overlap << ", fail_at " << fail_at;
-    }
+  for (const int fail_at : {0, 7}) {
+    FailingWriteFs fs(fail_at);
+    stage_projections(fs, "proj/", s.projections);
+    IfdkOptions opts;
+    opts.ranks = 4;
+    opts.rows = 2;
+    opts.reduce_segment_floats = 256;  // several segments per slab
+    EXPECT_THROW(run_distributed(s.g, fs, opts), IoError)
+        << "fail_at " << fail_at;
   }
-}
-
-TEST(Framework, InjectedReadFailureWithRingAllgather) {
-  // Same fault with the ring AllGather: the neighbour-exchange steps block
-  // pairwise, so the abort protocol must unblock a partially completed ring.
-  const Scene s = make_scene(48, 12, 12);
-  FailingReadFs fs(/*fail_at=*/3);
-  stage_projections(fs, "proj/", s.projections);
-  IfdkOptions opts;
-  opts.ranks = 4;
-  opts.rows = 2;
-  opts.use_ring_allgather = true;
-  EXPECT_THROW(run_distributed(s.g, fs, opts), Error);
 }
 
 TEST(StagingHelpers, RoundTripVolume) {

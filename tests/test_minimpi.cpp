@@ -295,107 +295,6 @@ TEST(MiniMpi, SendrecvExchangesWithoutDeadlock) {
   });
 }
 
-TEST(MiniMpi, RingAllGatherMatchesLinear) {
-  run_world(7, [](Comm& comm) {
-    std::array<float, 4> mine{};
-    for (int i = 0; i < 4; ++i) {
-      mine[static_cast<std::size_t>(i)] =
-          static_cast<float>(comm.rank() * 100 + i);
-    }
-    std::vector<float> linear(28), ring(28);
-    comm.allgather(mine.data(), sizeof(mine), linear.data());
-    comm.allgather_ring(mine.data(), sizeof(mine), ring.data());
-    EXPECT_EQ(linear, ring);
-  });
-}
-
-TEST(MiniMpi, RingAllGatherSingleRank) {
-  run_world(1, [](Comm& comm) {
-    const double mine = 2.5;
-    double out = 0;
-    comm.allgather_ring(&mine, sizeof(double), &out);
-    EXPECT_EQ(out, 2.5);
-  });
-}
-
-TEST(MiniMpi, TreeReduceMatchesLinearSum) {
-  // Pairwise vs linear summation: equal up to float associativity.
-  for (int ranks : {2, 3, 4, 7, 8}) {
-    run_world(ranks, [ranks](Comm& comm) {
-      std::vector<float> mine(100);
-      for (std::size_t i = 0; i < mine.size(); ++i) {
-        mine[i] = static_cast<float>(comm.rank() + 1) +
-                  0.125f * static_cast<float>(i);
-      }
-      std::vector<float> linear(100), tree(100);
-      comm.reduce(mine.data(), linear.data(), 100, ReduceOp::kSum, 0);
-      comm.reduce_tree(mine.data(), tree.data(), 100, ReduceOp::kSum, 0);
-      if (comm.rank() == 0) {
-        for (std::size_t i = 0; i < 100; ++i) {
-          EXPECT_NEAR(tree[i], linear[i],
-                      1e-4f * std::abs(linear[i]) + 1e-5f)
-              << ranks << " ranks, element " << i;
-        }
-      }
-    });
-  }
-}
-
-TEST(MiniMpi, RingAndTreeCollectivesInterleave) {
-  // Regression for the ring AllGather's collective-sequence accounting: it
-  // must consume exactly p-1 tags (one per neighbour step), so arbitrary
-  // interleavings of ring, tree, flat collectives, and user point-to-point
-  // traffic on the same communicator keep every rank's tag stream in sync.
-  for (int ranks : {2, 3, 5}) {
-    run_world(ranks, [ranks](Comm& comm) {
-      const int p = comm.size();
-      for (int round = 0; round < 4; ++round) {
-        const float mine =
-            static_cast<float>(comm.rank() + 1 + 10 * round);
-        std::vector<float> ring(static_cast<std::size_t>(p));
-        comm.allgather_ring(&mine, sizeof(float), ring.data());
-        for (int r = 0; r < p; ++r) {
-          EXPECT_FLOAT_EQ(ring[static_cast<std::size_t>(r)],
-                          static_cast<float>(r + 1 + 10 * round))
-              << ranks << " ranks, round " << round;
-        }
-
-        float sum = 0;
-        comm.reduce_tree(&mine, &sum, 1, ReduceOp::kSum, 0);
-        if (comm.rank() == 0) {
-          const float expect =
-              static_cast<float>(p * (p + 1) / 2 + 10 * round * p);
-          EXPECT_FLOAT_EQ(sum, expect) << ranks << " ranks, round " << round;
-        }
-
-        // User tags interleaved with the collective tag space.
-        if (p >= 2) {
-          if (comm.rank() == 0) {
-            comm.send(1, /*tag=*/round, &round, sizeof(round));
-          } else if (comm.rank() == 1) {
-            int got = -1;
-            comm.recv(0, /*tag=*/round, &got, sizeof(got));
-            EXPECT_EQ(got, round);
-          }
-        }
-        comm.barrier();
-      }
-    });
-  }
-}
-
-TEST(MiniMpi, TreeReduceNonZeroRootAndMax) {
-  run_world(6, [](Comm& comm) {
-    const float mine = static_cast<float>((comm.rank() * 7) % 5);
-    float out = -1;
-    comm.reduce_tree(&mine, &out, 1, ReduceOp::kMax, 4);
-    if (comm.rank() == 4) {
-      EXPECT_FLOAT_EQ(out, 4.0f);  // values are 0,2,4,1,3,0
-    }
-  });
-}
-
-
 TEST(MiniMpi, NonblockingSendRecvRoundTrip) {
   run_world(2, [](Comm& comm) {
     if (comm.rank() == 0) {

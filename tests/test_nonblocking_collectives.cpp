@@ -1,5 +1,5 @@
 // Nonblocking-collective tests: iallgather_ring / ireduce correctness
-// against their blocking references, adversarial interleaving with
+// against the blocking allgather / reduce, adversarial interleaving with
 // point-to-point traffic and other collectives on the same communicator,
 // out-of-order waits, pipelined segment callbacks, and failure injection
 // (one rank aborting mid-collective) — the PR 2 failure-injection suite
@@ -16,7 +16,7 @@
 namespace ifdk::mpi {
 namespace {
 
-TEST(NonblockingCollectives, IallgatherRingMatchesBlocking) {
+TEST(NonblockingCollectives, IallgatherRingMatchesAllgather) {
   for (int ranks : {1, 2, 3, 5, 8}) {
     run_world(ranks, [ranks](Comm& comm) {
       std::array<float, 3> mine{};
@@ -26,7 +26,7 @@ TEST(NonblockingCollectives, IallgatherRingMatchesBlocking) {
       }
       const std::size_t total = static_cast<std::size_t>(3 * comm.size());
       std::vector<float> blocking(total), nonblocking(total);
-      comm.allgather_ring(mine.data(), sizeof(mine), blocking.data());
+      comm.allgather(mine.data(), sizeof(mine), blocking.data());
       Comm::CollectiveRequest req =
           comm.iallgather_ring(mine.data(), sizeof(mine), nonblocking.data());
       req.wait();
@@ -138,8 +138,8 @@ TEST(NonblockingCollectives, OutOfOrderWaits) {
 }
 
 TEST(NonblockingCollectives, TwoOutstandingIallgathers) {
-  // The double-buffered pattern run_distributed uses: round t+1 initiated
-  // while round t is still outstanding, into separate buffers.
+  // Double-buffered rounds: round t+1 initiated while round t is still
+  // outstanding, into separate buffers.
   run_world(3, [](Comm& comm) {
     constexpr int kRounds = 6;
     std::vector<float> bufs[2];
@@ -287,11 +287,10 @@ TEST(NonblockingCollectives, RankAbortMidIallgatherUnblocksTheWorld) {
       Error);
 }
 
-TEST(NonblockingCollectives, TreeFanInBitwiseMatchesLinearAndBlocking) {
+TEST(NonblockingCollectives, TreeFanInBitwiseMatchesBlockingReduce) {
   // The tree relays only concatenate; the root folds ascending-rank — so
-  // the tree fan-in must equal both the linear ireduce and the blocking
-  // reduce bit for bit, on every world size (power-of-two and not) and
-  // segment size.
+  // the tree fan-in must equal the blocking reduce bit for bit, on every
+  // world size (power-of-two and not) and segment size.
   for (int ranks : {1, 2, 3, 4, 5, 7, 8}) {
     for (const std::size_t segment :
          {std::size_t{1}, std::size_t{7}, std::size_t{64},
@@ -304,20 +303,13 @@ TEST(NonblockingCollectives, TreeFanInBitwiseMatchesLinearAndBlocking) {
                     (1.0f + static_cast<float>(i) * 1e-6f) *
                     static_cast<float>(1 + comm.rank());
         }
-        std::vector<float> blocking(kCount), linear(kCount), tree(kCount);
+        std::vector<float> blocking(kCount), tree(kCount);
         comm.reduce(mine.data(), blocking.data(), kCount, ReduceOp::kSum, 0);
-        Comm::CollectiveRequest lin =
-            comm.ireduce(mine.data(), linear.data(), kCount, ReduceOp::kSum,
-                         0, segment, {}, ReduceAlgo::kLinear);
-        lin.wait();
-        Comm::CollectiveRequest tr =
-            comm.ireduce(mine.data(), tree.data(), kCount, ReduceOp::kSum, 0,
-                         segment, {}, ReduceAlgo::kTree);
+        Comm::CollectiveRequest tr = comm.ireduce(
+            mine.data(), tree.data(), kCount, ReduceOp::kSum, 0, segment);
         tr.wait();
         if (comm.rank() == 0) {
           for (std::size_t i = 0; i < kCount; ++i) {
-            ASSERT_EQ(blocking[i], linear[i])
-                << ranks << " ranks, segment " << segment << ", element " << i;
             ASSERT_EQ(blocking[i], tree[i])
                 << ranks << " ranks, segment " << segment << ", element " << i;
           }
@@ -347,7 +339,7 @@ TEST(NonblockingCollectives, TreeFanInNonZeroRootAllOps) {
                     op, root);
         Comm::CollectiveRequest req = comm.ireduce(
             mine.data(), comm.rank() == root ? tree.data() : nullptr, kCount,
-            op, root, /*segment_floats=*/16, {}, ReduceAlgo::kTree);
+            op, root, /*segment_floats=*/16);
         req.wait();
         if (comm.rank() == root) {
           for (std::size_t i = 0; i < kCount; ++i) {
@@ -377,8 +369,7 @@ TEST(NonblockingCollectives, TreeFanInSegmentCallbackStreamsPrefixes) {
                 }
                 seen.emplace_back(off, len);
               })
-            : Comm::SegmentCallback{},
-        ReduceAlgo::kTree);
+            : Comm::SegmentCallback{});
     req.wait();
     if (comm.rank() == 0) {
       ASSERT_EQ(seen.size(), 3u);
@@ -394,54 +385,49 @@ TEST(NonblockingCollectives, TwoConcurrentIreduceEpochsDifferentSegments) {
   // MULTIPLE ireduce epochs in flight on one communicator — each epoch
   // reserves its own block at initiation, sized by ITS segment count — so
   // per-volume epochs compose in the streaming pipeline. Waits run in
-  // initiation-reversed order, with different segment sizes, roots, and
-  // fan-ins per epoch.
-  for (const auto& algos :
-       {std::pair{ReduceAlgo::kLinear, ReduceAlgo::kLinear},
-        std::pair{ReduceAlgo::kTree, ReduceAlgo::kTree},
-        std::pair{ReduceAlgo::kTree, ReduceAlgo::kLinear}}) {
-    run_world(4, [algos](Comm& comm) {
-      constexpr std::size_t kCountA = 1000;
-      constexpr std::size_t kCountB = 333;
-      std::vector<float> a(kCountA), b(kCountB);
-      for (std::size_t i = 0; i < kCountA; ++i) {
-        a[i] = static_cast<float>(comm.rank() + 1) +
-               static_cast<float>(i) * 0.25f;
-      }
-      for (std::size_t i = 0; i < kCountB; ++i) {
-        b[i] = static_cast<float>(10 * (comm.rank() + 1)) -
-               static_cast<float>(i) * 0.5f;
-      }
-      std::vector<float> ref_a(kCountA), ref_b(kCountB);
-      comm.reduce(a.data(), comm.rank() == 0 ? ref_a.data() : nullptr,
-                  kCountA, ReduceOp::kSum, 0);
-      comm.reduce(b.data(), comm.rank() == 2 ? ref_b.data() : nullptr,
-                  kCountB, ReduceOp::kSum, 2);
+  // initiation-reversed order, with different segment sizes and roots per
+  // epoch.
+  run_world(4, [](Comm& comm) {
+    constexpr std::size_t kCountA = 1000;
+    constexpr std::size_t kCountB = 333;
+    std::vector<float> a(kCountA), b(kCountB);
+    for (std::size_t i = 0; i < kCountA; ++i) {
+      a[i] = static_cast<float>(comm.rank() + 1) +
+             static_cast<float>(i) * 0.25f;
+    }
+    for (std::size_t i = 0; i < kCountB; ++i) {
+      b[i] = static_cast<float>(10 * (comm.rank() + 1)) -
+             static_cast<float>(i) * 0.5f;
+    }
+    std::vector<float> ref_a(kCountA), ref_b(kCountB);
+    comm.reduce(a.data(), comm.rank() == 0 ? ref_a.data() : nullptr,
+                kCountA, ReduceOp::kSum, 0);
+    comm.reduce(b.data(), comm.rank() == 2 ? ref_b.data() : nullptr,
+                kCountB, ReduceOp::kSum, 2);
 
-      std::vector<float> out_a(comm.rank() == 0 ? kCountA : 0);
-      std::vector<float> out_b(comm.rank() == 2 ? kCountB : 0);
-      // Epoch A: 7-float segments (143 tags). Epoch B, initiated while A is
-      // outstanding: 50-float segments (7 tags), different root.
-      Comm::CollectiveRequest ra = comm.ireduce(
-          a.data(), comm.rank() == 0 ? out_a.data() : nullptr, kCountA,
-          ReduceOp::kSum, 0, /*segment_floats=*/7, {}, algos.first);
-      Comm::CollectiveRequest rb = comm.ireduce(
-          b.data(), comm.rank() == 2 ? out_b.data() : nullptr, kCountB,
-          ReduceOp::kSum, 2, /*segment_floats=*/50, {}, algos.second);
-      rb.wait();  // initiation-reversed wait order (identical on all ranks)
-      ra.wait();
-      if (comm.rank() == 0) {
-        for (std::size_t i = 0; i < kCountA; ++i) {
-          ASSERT_EQ(out_a[i], ref_a[i]) << "epoch A element " << i;
-        }
+    std::vector<float> out_a(comm.rank() == 0 ? kCountA : 0);
+    std::vector<float> out_b(comm.rank() == 2 ? kCountB : 0);
+    // Epoch A: 7-float segments (143 tags). Epoch B, initiated while A is
+    // outstanding: 50-float segments (7 tags), different root.
+    Comm::CollectiveRequest ra = comm.ireduce(
+        a.data(), comm.rank() == 0 ? out_a.data() : nullptr, kCountA,
+        ReduceOp::kSum, 0, /*segment_floats=*/7);
+    Comm::CollectiveRequest rb = comm.ireduce(
+        b.data(), comm.rank() == 2 ? out_b.data() : nullptr, kCountB,
+        ReduceOp::kSum, 2, /*segment_floats=*/50);
+    rb.wait();  // initiation-reversed wait order (identical on all ranks)
+    ra.wait();
+    if (comm.rank() == 0) {
+      for (std::size_t i = 0; i < kCountA; ++i) {
+        ASSERT_EQ(out_a[i], ref_a[i]) << "epoch A element " << i;
       }
-      if (comm.rank() == 2) {
-        for (std::size_t i = 0; i < kCountB; ++i) {
-          ASSERT_EQ(out_b[i], ref_b[i]) << "epoch B element " << i;
-        }
+    }
+    if (comm.rank() == 2) {
+      for (std::size_t i = 0; i < kCountB; ++i) {
+        ASSERT_EQ(out_b[i], ref_b[i]) << "epoch B element " << i;
       }
-    });
-  }
+    }
+  });
 }
 
 TEST(NonblockingCollectives, RankAbortMidTreeIreduceUnblocksTheWorld) {
@@ -459,8 +445,7 @@ TEST(NonblockingCollectives, RankAbortMidTreeIreduceUnblocksTheWorld) {
                   }
                   Comm::CollectiveRequest req = comm.ireduce(
                       mine.data(), comm.rank() == 0 ? out.data() : nullptr,
-                      kCount, ReduceOp::kSum, 0, /*segment_floats=*/64, {},
-                      ReduceAlgo::kTree);
+                      kCount, ReduceOp::kSum, 0, /*segment_floats=*/64);
                   req.wait();
                 }),
       Error);

@@ -132,13 +132,6 @@ TEST(PlanProperties, BudgetsAndBytesAreConsistent) {
               plan.slab_floats());
     EXPECT_EQ(plan.reduce_tag_budget(), segments);
 
-    // Gather budgets: one ring (R-1 tags) per round; zero when fused.
-    EXPECT_EQ(plan.gather_tags_per_round(false),
-              static_cast<std::uint64_t>(plan.grid.rows - 1));
-    EXPECT_EQ(plan.gather_tag_budget(false),
-              plan.rounds * static_cast<std::uint64_t>(plan.grid.rows - 1));
-    EXPECT_EQ(plan.gather_tag_budget(true), 0u);
-
     // Byte accounting matches the shapes.
     EXPECT_EQ(plan.allgather_bytes_per_round(),
               static_cast<std::uint64_t>(plan.grid.rows - 1) * plan.pixels *
@@ -151,17 +144,16 @@ TEST(PlanProperties, BudgetsAndBytesAreConsistent) {
 }
 
 TEST(PlanTagBudget, LiveEpochNeverExceedsTheBudget) {
-  // Drive a real minimpi world through the collectives one streaming epoch
-  // issues — plan.rounds ring AllGathers on the column comm, one segmented
-  // ireduce on the row comm — and check the live tag counter against the
-  // plan's budgets. Swept over random cases and both fan-ins.
+  // Drive a real minimpi world through the traffic one volume epoch
+  // issues — plan.rounds user-tag column exchanges (the gather worker's
+  // isend/irecv), one segmented ireduce on the row comm — and check the
+  // live tag counter against the plan's budgets: none on the column, one
+  // per segment on the row. Swept over random cases.
   Rng rng(0x5eed0004);
   for (int trial = 0; trial < 8; ++trial) {
     const RandomCase c = random_case(rng);
     const DecompositionPlan plan =
         DecompositionPlan::make(c.geometry, c.options);
-    const mpi::ReduceAlgo algo = trial % 2 == 0 ? mpi::ReduceAlgo::kTree
-                                                : mpi::ReduceAlgo::kLinear;
 
     mpi::run_world(plan.ranks(), [&](mpi::Comm& world) {
       const int rank = world.rank();
@@ -170,21 +162,26 @@ TEST(PlanTagBudget, LiveEpochNeverExceedsTheBudget) {
       mpi::Comm col_comm = world.split(col, row);
       mpi::Comm row_comm = world.split(row, col);
 
-      // Column epoch: one ring AllGather per round.
+      // Column epoch: every round exchanges one block with each of the
+      // column's other ranks over a per-round user tag.
       const std::uint64_t col_before = col_comm.collective_tags_reserved();
+      const std::size_t bytes = plan.pixels * sizeof(float);
       std::vector<float> block(plan.pixels, static_cast<float>(rank));
       std::vector<float> gathered(
           static_cast<std::size_t>(plan.grid.rows) * plan.pixels);
       for (std::size_t t = 0; t < plan.rounds; ++t) {
-        col_comm
-            .iallgather_ring(block.data(), plan.pixels * sizeof(float),
-                             gathered.data())
-            .wait();
+        std::vector<mpi::Comm::Request> reqs;
+        for (int r = 0; r < plan.grid.rows; ++r) {
+          if (r == row) continue;
+          const int tag = static_cast<int>(t);
+          col_comm.isend(r, tag, block.data(), bytes).wait();
+          reqs.push_back(col_comm.irecv(
+              r, tag, gathered.data() + static_cast<std::size_t>(r) * plan.pixels,
+              bytes));
+        }
+        mpi::Comm::wait_all(reqs);
       }
-      const std::uint64_t col_used =
-          col_comm.collective_tags_reserved() - col_before;
-      EXPECT_LE(col_used, plan.gather_tag_budget(/*fused=*/false));
-      EXPECT_EQ(col_used, plan.gather_tag_budget(/*fused=*/false));
+      EXPECT_EQ(col_comm.collective_tags_reserved(), col_before);
 
       // Row epoch: one segmented ireduce of the slab pair.
       const std::uint64_t row_before = row_comm.collective_tags_reserved();
@@ -193,7 +190,7 @@ TEST(PlanTagBudget, LiveEpochNeverExceedsTheBudget) {
       row_comm
           .ireduce(partial.data(), col == 0 ? reduced.data() : nullptr,
                    partial.size(), mpi::ReduceOp::kSum, /*root=*/0,
-                   plan.reduce_segment_floats, {}, algo)
+                   plan.reduce_segment_floats)
           .wait();
       const std::uint64_t row_used =
           row_comm.collective_tags_reserved() - row_before;

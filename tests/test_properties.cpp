@@ -183,7 +183,6 @@ struct GridCase {
   int ranks;
   int rows;
   std::size_t np;
-  bool ring;
 };
 
 class DistributedSweep : public ::testing::TestWithParam<GridCase> {};
@@ -200,7 +199,6 @@ TEST_P(DistributedSweep, MatchesSingleNode) {
   IfdkOptions opts;
   opts.ranks = c.ranks;
   opts.rows = c.rows;
-  opts.use_ring_allgather = c.ring;
   run_distributed(g, fs, opts);
   const Volume result = load_volume(fs, "vol/slice_", g.vol_dims());
 
@@ -216,9 +214,9 @@ TEST_P(DistributedSweep, MatchesSingleNode) {
 
 INSTANTIATE_TEST_SUITE_P(
     GridsTimesViews, DistributedSweep,
-    ::testing::Values(GridCase{4, 2, 16, false}, GridCase{4, 2, 16, true},
-                      GridCase{6, 2, 24, true}, GridCase{6, 6, 12, false},
-                      GridCase{9, 3, 18, true}, GridCase{8, 2, 32, false}));
+    ::testing::Values(GridCase{4, 2, 16}, GridCase{6, 2, 24},
+                      GridCase{6, 6, 12}, GridCase{9, 3, 18},
+                      GridCase{8, 2, 32}));
 
 // ---------------------------------------------------------------------------
 // Simulator sweeps

@@ -396,7 +396,7 @@ TEST(ServiceAcceptance, MixedPriorityJobsMatchSequentialBitwise) {
   EXPECT_EQ(stats.tenants.at("carol").stored, 1u);
   EXPECT_GT(stats.tenants.at("carol").volumes_per_second, 0.0);
 
-  // Per-job IfdkStats-like timings: the stream that carried the job.
+  // Per-job stage timings: the stream that carried the job.
   EXPECT_GT(handles[0].wall().get("backprojection"), 0.0);
   EXPECT_GE(handles[0].queue_latency_s(), 0.0);
 }
@@ -495,8 +495,8 @@ TEST(ServiceAcceptance, MixedFdkAndIterativeQueueWithFailureIsolation) {
 
 TEST(ValidationConsolidation, OptionErrorsAreIdenticalAcrossEntryPoints) {
   // The pinned pre-run messages must come out of IfdkOptions::validate /
-  // DecompositionPlan::make verbatim from every entry point: the blocking
-  // runtime, the streaming runtime, and the service front door.
+  // DecompositionPlan::make verbatim from every entry point: run_distributed,
+  // run_streaming, and the service front door.
   const auto g = small_geometry();
   IfdkOptions opts;
   opts.ranks = 3;

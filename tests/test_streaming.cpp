@@ -1,7 +1,6 @@
 // Streaming-4DCT pipeline tests: run_streaming(N volumes) must be
 // bitwise-identical to N sequential run_distributed calls on every tested
-// grid shape, volume count, reduce fan-in, and worker mode — plus the
-// failure-semantics contract: a PFS write error on volume v fails only that
+// grid shape and volume count — plus the failure-semantics contract: a PFS write error on volume v fails only that
 // volume, while a rank abort mid-stream unwinds every in-flight collective
 // epoch without hangs (guarded by the suite's ctest TIMEOUT).
 #include <gtest/gtest.h>
@@ -95,42 +94,36 @@ struct GridCase {
 class StreamingEquivalence : public ::testing::TestWithParam<GridCase> {};
 
 TEST_P(StreamingEquivalence, BitwiseMatchesSequentialRuns) {
-  // The tentpole invariant, swept over volume count and reduce fan-in: the
-  // streamed time series is bit-for-bit the same as reconstructing each
-  // frame in its own world.
+  // The tentpole invariant, swept over volume count: the streamed time
+  // series is bit-for-bit the same as reconstructing each frame in its own
+  // world.
   const auto [ranks, rows] = GetParam();
   for (const std::size_t n_volumes : {std::size_t{1}, std::size_t{2},
                                       std::size_t{4}}) {
     const StreamScene s = make_stream_scene(n_volumes);
-    for (const ReduceFanIn fan_in :
-         {ReduceFanIn::kTree, ReduceFanIn::kLinear}) {
-      IfdkOptions opts;
-      opts.ranks = ranks;
-      opts.rows = rows;
-      opts.reduce_fan_in = fan_in;
+    IfdkOptions opts;
+    opts.ranks = ranks;
+    opts.rows = rows;
 
-      pfs::ParallelFileSystem fs_seq;
-      stage_all(fs_seq, s);
-      run_sequential(s, fs_seq, opts);
+    pfs::ParallelFileSystem fs_seq;
+    stage_all(fs_seq, s);
+    run_sequential(s, fs_seq, opts);
 
-      pfs::ParallelFileSystem fs_stream;
-      stage_all(fs_stream, s);
-      const StreamingStats stats = run_streaming(s.g, fs_stream, opts,
-                                                 s.volumes);
-      EXPECT_EQ(stats.volumes, static_cast<int>(n_volumes));
-      EXPECT_EQ(stats.grid.rows, rows);
-      for (const std::string& err : stats.volume_errors) {
-        EXPECT_TRUE(err.empty()) << err;
-      }
+    pfs::ParallelFileSystem fs_stream;
+    stage_all(fs_stream, s);
+    const StreamingStats stats = run_streaming(s.g, fs_stream, opts,
+                                               s.volumes);
+    EXPECT_EQ(stats.volumes, static_cast<int>(n_volumes));
+    EXPECT_EQ(stats.grid.rows, rows);
+    for (const std::string& err : stats.volume_errors) {
+      EXPECT_TRUE(err.empty()) << err;
+    }
 
-      const std::string context =
-          "grid " + std::to_string(rows) + "x" +
-          std::to_string(ranks / rows) + ", " + std::to_string(n_volumes) +
-          " volumes, " +
-          (fan_in == ReduceFanIn::kTree ? "tree" : "linear") + " fan-in";
-      for (std::size_t v = 0; v < n_volumes; ++v) {
-        expect_bitwise_equal_volume(fs_seq, fs_stream, s, v, context);
-      }
+    const std::string context = "grid " + std::to_string(rows) + "x" +
+                                std::to_string(ranks / rows) + ", " +
+                                std::to_string(n_volumes) + " volumes";
+    for (std::size_t v = 0; v < n_volumes; ++v) {
+      expect_bitwise_equal_volume(fs_seq, fs_stream, s, v, context);
     }
   }
 }
@@ -141,36 +134,6 @@ INSTANTIATE_TEST_SUITE_P(
                       GridCase{2, 2},   // R=2, C=1: gather, no reduce
                       GridCase{2, 1},   // R=1, C=2: reduce, no gather
                       GridCase{4, 2})); // R=2, C=2: both collectives
-
-TEST(Streaming, DedicatedFilterThreadMatchesFusedWorker) {
-  // Both worker modes (fused filter+gather via irecv vs the dedicated
-  // Filtering-thread) must produce identical bits.
-  const StreamScene s = make_stream_scene(2);
-  for (const ReduceFanIn fan_in : {ReduceFanIn::kTree, ReduceFanIn::kLinear}) {
-    IfdkOptions opts;
-    opts.ranks = 4;
-    opts.rows = 2;
-    opts.reduce_fan_in = fan_in;
-
-    opts.fuse_filter_gather = true;
-    pfs::ParallelFileSystem fs_fused;
-    stage_all(fs_fused, s);
-    const StreamingStats fused = run_streaming(s.g, fs_fused, opts, s.volumes);
-    EXPECT_TRUE(fused.fused_filter_gather);
-
-    opts.fuse_filter_gather = false;
-    pfs::ParallelFileSystem fs_threaded;
-    stage_all(fs_threaded, s);
-    const StreamingStats threaded =
-        run_streaming(s.g, fs_threaded, opts, s.volumes);
-    EXPECT_FALSE(threaded.fused_filter_gather);
-
-    for (std::size_t v = 0; v < s.volumes.size(); ++v) {
-      expect_bitwise_equal_volume(fs_fused, fs_threaded, s, v,
-                                  "fused vs threaded");
-    }
-  }
-}
 
 TEST(Streaming, SmallReduceSegmentsStreamSlicesBitExactly) {
   // Segment sizes around the slice granularity exercise the per-volume
@@ -220,8 +183,6 @@ TEST(Streaming, StatsReportThroughputAndBusyWall) {
     EXPECT_GT(eff, 0.0) << thread;
     EXPECT_LE(eff, 1.0 + 1e-9) << thread;
   }
-  // Fused mode: the dedicated filter thread does not exist.
-  EXPECT_EQ(stats.overlap_efficiency.get("filter_thread"), 0.0);
 }
 
 TEST(Streaming, ZeroVolumesIsANoOp) {
@@ -303,44 +264,29 @@ void expect_mixed_bitwise_equal(const pfs::ParallelFileSystem& a,
   }
 }
 
-/// Runs one mixed-geometry sequence streamed-vs-sequential across both
-/// reduce fan-ins (and, when `sweep_worker_modes`, both worker modes).
-void check_mixed_sequence(const MixedScene& s, IfdkOptions opts,
-                          const std::string& name,
-                          bool sweep_worker_modes = false) {
-  for (const ReduceFanIn fan_in : {ReduceFanIn::kTree, ReduceFanIn::kLinear}) {
-    for (const bool fuse : sweep_worker_modes
-                               ? std::vector<bool>{true, false}
-                               : std::vector<bool>{true}) {
-      opts.reduce_fan_in = fan_in;
-      opts.fuse_filter_gather = fuse;
+/// Runs one mixed-geometry sequence streamed-vs-sequential.
+void check_mixed_sequence(const MixedScene& s, const IfdkOptions& opts,
+                          const std::string& name) {
+  pfs::ParallelFileSystem fs_seq;
+  stage_mixed(fs_seq, s);
+  run_mixed_sequential(s, fs_seq, opts);
 
-      pfs::ParallelFileSystem fs_seq;
-      stage_mixed(fs_seq, s);
-      run_mixed_sequential(s, fs_seq, opts);
-
-      pfs::ParallelFileSystem fs_stream;
-      stage_mixed(fs_stream, s);
-      // The run geometry argument is a fallback only: every volume carries
-      // its own. Pass volume 0's to keep it valid.
-      const StreamingStats stats =
-          run_streaming(s.geoms[0], fs_stream, opts, s.volumes);
-      ASSERT_EQ(stats.plans.size(), s.volumes.size());
-      for (const std::string& err : stats.volume_errors) {
-        EXPECT_TRUE(err.empty()) << err;
-      }
-
-      expect_mixed_bitwise_equal(
-          fs_seq, fs_stream, s,
-          name + (fan_in == ReduceFanIn::kTree ? ", tree" : ", linear") +
-              (fuse ? ", fused" : ", threaded"));
-    }
+  pfs::ParallelFileSystem fs_stream;
+  stage_mixed(fs_stream, s);
+  // The run geometry argument is a fallback only: every volume carries its
+  // own. Pass volume 0's to keep it valid.
+  const StreamingStats stats =
+      run_streaming(s.geoms[0], fs_stream, opts, s.volumes);
+  ASSERT_EQ(stats.plans.size(), s.volumes.size());
+  for (const std::string& err : stats.volume_errors) {
+    EXPECT_TRUE(err.empty()) << err;
   }
+  expect_mixed_bitwise_equal(fs_seq, fs_stream, s, name);
 }
 
 TEST(MixedGeometryStreaming, AlternatingSliceCountsMatchSequential) {
   // Sequence 1: Nz alternates 12 / 8 across four frames (same grid, new
-  // slab extents every epoch); both worker modes swept.
+  // slab extents every epoch).
   const Problem problems[] = {{{32, 32, 16}, {12, 12, 12}},
                               {{32, 32, 16}, {12, 12, 8}},
                               {{32, 32, 16}, {12, 12, 12}},
@@ -348,8 +294,7 @@ TEST(MixedGeometryStreaming, AlternatingSliceCountsMatchSequential) {
   IfdkOptions opts;
   opts.ranks = 4;
   opts.rows = 2;
-  check_mixed_sequence(make_mixed_scene(problems), opts, "alternating Nz",
-                       /*sweep_worker_modes=*/true);
+  check_mixed_sequence(make_mixed_scene(problems), opts, "alternating Nz");
 }
 
 TEST(MixedGeometryStreaming, VaryingProjectionCountsMatchSequential) {
@@ -377,8 +322,7 @@ TEST(MixedGeometryStreaming, GridResplitMatchesSequential) {
   opts.rows = 0;
   opts.microbench.sub_volume_bytes = 8192;  // 12^3 fits once, 12*12*16 twice
   const MixedScene s = make_mixed_scene(problems);
-  check_mixed_sequence(s, opts, "grid re-split",
-                       /*sweep_worker_modes=*/true);
+  check_mixed_sequence(s, opts, "grid re-split");
 
   // The sequence must actually have re-split (guards the tuning above).
   pfs::ParallelFileSystem fs;
@@ -521,23 +465,20 @@ TEST(StreamingFailure, RankAbortMidStreamUnwindsAllEpochs) {
   // A read failure while volume 1 is in flight (volume 0's reduce epochs
   // possibly still outstanding) must abort the world and rethrow — not
   // hang any rank's worker, bp, or reduce thread. The suite's ctest TIMEOUT
-  // property is the hang guard. Swept over both worker modes and fault
-  // positions early/mid/late in the stream.
+  // property is the hang guard. Swept over fault positions early/mid/late
+  // in the stream.
   const StreamScene s = make_stream_scene(3);
   const int reads_per_volume = static_cast<int>(s.g.np);
-  for (const bool fuse : {true, false}) {
-    for (const int fail_at :
-         {0, reads_per_volume + 3, 2 * reads_per_volume + 5}) {
-      FailingReadFs fs(fail_at);
-      stage_all(fs, s);
-      IfdkOptions opts;
-      opts.ranks = 4;
-      opts.rows = 2;
-      opts.fuse_filter_gather = fuse;
-      opts.queue_capacity = 2;  // small queues: exercises blocked producers
-      EXPECT_THROW(run_streaming(s.g, fs, opts, s.volumes), Error)
-          << "fuse " << fuse << ", fail_at " << fail_at;
-    }
+  for (const int fail_at :
+       {0, reads_per_volume + 3, 2 * reads_per_volume + 5}) {
+    FailingReadFs fs(fail_at);
+    stage_all(fs, s);
+    IfdkOptions opts;
+    opts.ranks = 4;
+    opts.rows = 2;
+    opts.queue_capacity = 2;  // small queues: exercises blocked producers
+    EXPECT_THROW(run_streaming(s.g, fs, opts, s.volumes), Error)
+        << "fail_at " << fail_at;
   }
 }
 
@@ -587,47 +528,40 @@ TEST(StreamingCompression, WireOnOffBitwiseIdenticalAcrossGridSets) {
   };
   for (const GridSet& set : sets) {
     const MixedScene s = make_mixed_scene(set.problems);
-    for (const ReduceFanIn fan_in :
-         {ReduceFanIn::kTree, ReduceFanIn::kLinear}) {
-      IfdkOptions opts;
-      opts.ranks = 4;
-      opts.rows = set.rows;
-      if (set.sub_volume_bytes > 0) {
-        opts.microbench.sub_volume_bytes = set.sub_volume_bytes;
-      }
-      opts.reduce_fan_in = fan_in;
-
-      pfs::ParallelFileSystem fs_off;
-      stage_mixed(fs_off, s);
-      opts.compress_wire = false;
-      const StreamingStats off = run_streaming(s.geoms[0], fs_off, opts,
-                                               s.volumes);
-
-      pfs::ParallelFileSystem fs_on;
-      stage_mixed(fs_on, s);
-      opts.compress_wire = true;
-      const StreamingStats on = run_streaming(s.geoms[0], fs_on, opts,
-                                              s.volumes);
-
-      const std::string context =
-          std::string(set.name) +
-          (fan_in == ReduceFanIn::kTree ? ", tree" : ", linear") +
-          ", wire on vs off";
-      ASSERT_EQ(off.volume_errors, on.volume_errors) << context;
-      expect_mixed_bitwise_equal(fs_off, fs_on, s, context);
-
-      // The accounting must reflect what actually happened: no framed
-      // traffic when off, a measured ratio when on. Full-precision partial
-      // sums are mantissa noise, so these tiny volumes ride the raw-frame
-      // fallback and the ratio sits just under 1 (per-frame header
-      // overhead) — the lossless guarantee is the bound, not a win.
-      EXPECT_EQ(off.wire_encoded_bytes, 0u) << context;
-      EXPECT_GT(on.wire_raw_bytes, 0u) << context;
-      EXPECT_GT(on.wire_ratio(), 0.9) << context;
-      EXPECT_LE(on.wire_encoded_bytes,
-                on.wire_raw_bytes + (on.wire_raw_bytes / 10))
-          << context;
+    IfdkOptions opts;
+    opts.ranks = 4;
+    opts.rows = set.rows;
+    if (set.sub_volume_bytes > 0) {
+      opts.microbench.sub_volume_bytes = set.sub_volume_bytes;
     }
+
+    pfs::ParallelFileSystem fs_off;
+    stage_mixed(fs_off, s);
+    opts.compress_wire = false;
+    const StreamingStats off = run_streaming(s.geoms[0], fs_off, opts,
+                                             s.volumes);
+
+    pfs::ParallelFileSystem fs_on;
+    stage_mixed(fs_on, s);
+    opts.compress_wire = true;
+    const StreamingStats on = run_streaming(s.geoms[0], fs_on, opts,
+                                            s.volumes);
+
+    const std::string context = std::string(set.name) + ", wire on vs off";
+    ASSERT_EQ(off.volume_errors, on.volume_errors) << context;
+    expect_mixed_bitwise_equal(fs_off, fs_on, s, context);
+
+    // The accounting must reflect what actually happened: no framed
+    // traffic when off, a measured ratio when on. Full-precision partial
+    // sums are mantissa noise, so these tiny volumes ride the raw-frame
+    // fallback and the ratio sits just under 1 (per-frame header overhead)
+    // — the lossless guarantee is the bound, not a win.
+    EXPECT_EQ(off.wire_encoded_bytes, 0u) << context;
+    EXPECT_GT(on.wire_raw_bytes, 0u) << context;
+    EXPECT_GT(on.wire_ratio(), 0.9) << context;
+    EXPECT_LE(on.wire_encoded_bytes,
+              on.wire_raw_bytes + (on.wire_raw_bytes / 10))
+        << context;
   }
 }
 

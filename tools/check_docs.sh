@@ -18,6 +18,8 @@
 #    two-space-indented class members and column-0 free functions;
 #    move/copy boilerplate, destructors and `= default/delete` lines are
 #    exempt).
+# 3. Stale names: identifiers of deleted FDK execution paths, option knobs
+#    and minimpi collectives must not reappear in src/, docs/ or README.md.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -88,6 +90,15 @@ for header in src/minimpi/*.h src/ifdk/*.h src/pfs/*.h src/cluster/*.h \
     fail=1
   fi
 done
+
+# ---- 3. stale-name guard ---------------------------------------------------
+# `allgather_ring(` must not be preceded by an `i` (iallgather_ring stays).
+stale='BlockingFdkWorkload|IfdkStats|ReduceFanIn|ReduceAlgo|use_ring_allgather'
+stale+='|fuse_filter_gather|reduce_fan_in|(^|[^i])allgather_ring\(|reduce_tree'
+if grep -rnE "$stale" src docs README.md; then
+  echo "STALE NAME: the lines above name a deleted execution path or knob"
+  fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
