@@ -85,22 +85,19 @@ StreamingResult time_streaming(const bench::Scene& scene, int runs) {
   return r;
 }
 
-/// Compression smoke point: the streaming run with the framed wire codec
-/// and the quantized store codec both on — achieved wire/store ratios and
-/// the worst per-volume store PSNR — plus raw encode/decode throughput of
-/// the lossless frame codec on projection data (the numbers the Section 8
-/// "compression" trajectory is plotted against).
+/// Compression smoke point: the streaming run with the quantized store
+/// codec on — achieved store ratio and the worst per-volume store PSNR —
+/// plus raw encode/decode throughput of the lossless frame codec on
+/// projection data (the numbers the Section 8 "compression" trajectory is
+/// plotted against).
 struct CompressionResult {
   int ranks = 4;
   int rows = 2;
   int volumes = 2;
   int store_bits = 12;
   double seconds = 0.0;
-  std::size_t wire_raw_bytes = 0;
-  std::size_t wire_encoded_bytes = 0;
   std::size_t store_raw_bytes = 0;
   std::size_t store_stored_bytes = 0;
-  double wire_ratio = 1.0;
   double store_ratio = 1.0;
   double min_store_psnr_db = 0.0;
   double encode_mb_per_s = 0.0;
@@ -112,7 +109,6 @@ CompressionResult time_compression(const bench::Scene& scene, int runs) {
   IfdkOptions opts;
   opts.ranks = r.ranks;
   opts.rows = r.rows;
-  opts.compress_wire = true;
   std::vector<JobSpec> volumes;
   for (int v = 0; v < r.volumes; ++v) {
     JobSpec spec{"in" + std::to_string(v) + "/",
@@ -130,11 +126,8 @@ CompressionResult time_compression(const bench::Scene& scene, int runs) {
     }
     last = run_streaming(scene.g, fs, opts, volumes);
   });
-  r.wire_raw_bytes = last.wire_raw_bytes;
-  r.wire_encoded_bytes = last.wire_encoded_bytes;
   r.store_raw_bytes = last.store_raw_bytes;
   r.store_stored_bytes = last.store_stored_bytes;
-  r.wire_ratio = last.wire_ratio();
   r.store_ratio = last.store_ratio();
   r.min_store_psnr_db = 0.0;
   for (std::size_t v = 0; v < last.volume_store_psnr_db.size(); ++v) {
@@ -146,7 +139,7 @@ CompressionResult time_compression(const bench::Scene& scene, int runs) {
   }
 
   // Raw lossless-codec throughput on real projection data (one frame per
-  // projection, the wire-path granularity).
+  // projection).
   const double enc_s = bench::median_seconds(runs, [&] {
     for (const Image2D& p : scene.projections) {
       postproc::encode_frame(p.data(), p.pixels());
@@ -417,8 +410,8 @@ int main(int argc, char** argv) {
   // Iterative-workload smoke point: 2 SART iterations on the same 2x2 world.
   const IterativeResult iter = time_iterative(scene, 3);
 
-  // Compression smoke point: the same streaming world with the framed wire
-  // codec and the 12-bit quantized store both on.
+  // Compression smoke point: the same streaming world with the 12-bit
+  // quantized store on.
   const CompressionResult comp = time_compression(scene, 3);
 
   // Filter-stage smoke point: the FFT batch backends head to head.
@@ -530,9 +523,6 @@ int main(int argc, char** argv) {
                "    \"ranks\": %d, \"rows\": %d, \"volumes\": %d,\n"
                "    \"store_bits\": %d,\n"
                "    \"seconds\": %.6f,\n"
-               "    \"wire_raw_bytes\": %zu,\n"
-               "    \"wire_encoded_bytes\": %zu,\n"
-               "    \"wire_ratio\": %.4f,\n"
                "    \"store_raw_bytes\": %zu,\n"
                "    \"store_stored_bytes\": %zu,\n"
                "    \"store_ratio\": %.4f,\n"
@@ -541,8 +531,7 @@ int main(int argc, char** argv) {
                "    \"decode_mb_per_s\": %.2f\n"
                "  },\n",
                comp.ranks, comp.rows, comp.volumes, comp.store_bits,
-               comp.seconds, comp.wire_raw_bytes, comp.wire_encoded_bytes,
-               comp.wire_ratio, comp.store_raw_bytes, comp.store_stored_bytes,
+               comp.seconds, comp.store_raw_bytes, comp.store_stored_bytes,
                comp.store_ratio, comp.min_store_psnr_db, comp.encode_mb_per_s,
                comp.decode_mb_per_s);
   std::fprintf(out,
@@ -673,11 +662,11 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  std::printf("  compression %d volumes through %dx%d: wire ratio %.3f, "
+  std::printf("  compression %d volumes through %dx%d: "
               "store ratio %.3f @ %d bits (min PSNR %.1f dB); "
               "codec %.1f MB/s encode, %.1f MB/s decode\n",
               comp.volumes, comp.rows, comp.ranks / comp.rows,
-              comp.wire_ratio, comp.store_ratio, comp.store_bits,
+              comp.store_ratio, comp.store_bits,
               comp.min_store_psnr_db, comp.encode_mb_per_s,
               comp.decode_mb_per_s);
   std::printf("  iterative %s x%d through %dx%d: %.3f s (%.2f iter/s); "

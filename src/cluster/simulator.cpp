@@ -91,12 +91,8 @@ PostCosts post_costs(const Problem& problem, int r, int c,
   pc.t_d2h = out_bytes * static_cast<double>(mb.gpus_per_node) /
              (static_cast<double>(r) * mb.bw_pcie *
               static_cast<double>(mb.pcie_per_node) * config.d2h_efficiency);
-  // The framed wire moves out_bytes / ratio; the fold itself is unchanged
-  // (the reduce throughput micro-benchmark is bandwidth-dominated, which is
-  // exactly where compressed frames buy their time back).
-  const double wire_bytes = out_bytes / config.wire_compression_ratio;
   pc.t_reduce =
-      c > 1 ? wire_bytes / (static_cast<double>(r) * mb.th_reduce) : 0.0;
+      c > 1 ? out_bytes / (static_cast<double>(r) * mb.th_reduce) : 0.0;
   // The compressed store writes serialized objects: both the bytes moved
   // and the stripe-efficiency slice size shrink by the store ratio.
   const double slice_bytes =
@@ -275,7 +271,8 @@ StreamSimResult simulate_stream(std::span<const DecompositionPlan> plans,
     }
 
     const PostCosts pc = post_costs(problem, r, c, config);
-    // run_streaming charges D2H on the Bp-thread before the slab handoff.
+    // The modeled GPU drains the slab (D2H) on the Bp-thread before the
+    // slab handoff.
     b += pc.t_d2h;
     const double bp_done = b;
     // Depth-1 slab queue: the push completes once the reduce thread popped
@@ -300,18 +297,6 @@ StreamSimResult simulate_stream(std::span<const DecompositionPlan> plans,
   out.volumes_per_second =
       out.t_total > 0 ? static_cast<double>(out.volumes) / out.t_total : 0;
   return out;
-}
-
-std::vector<double> predict_queue_completion(
-    std::span<const DecompositionPlan> plans, const SimConfig& config) {
-  std::vector<double> done;
-  if (plans.empty()) return done;
-  const StreamSimResult sim = simulate_stream(plans, config);
-  done.reserve(sim.epochs.size());
-  for (const EpochSim& epoch : sim.epochs) {
-    done.push_back(epoch.done);
-  }
-  return done;
 }
 
 IterSimResult simulate_iterative(const DecompositionPlan& plan,

@@ -88,13 +88,6 @@ struct SimConfig {
   /// false = flat mb.bp_gups.
   bool use_kernel_model = true;
 
-  /// Bytes-on-the-wire discount of the framed row reduce
-  /// (IfdkOptions::compress_wire): the reduce phase moves out_bytes /
-  /// wire_compression_ratio instead of out_bytes. Feed it the MEASURED
-  /// StreamingStats::wire_ratio() of a small run to forecast the win at
-  /// scale; 1.0 (the default) models the uncompressed wire.
-  double wire_compression_ratio = 1.0;
-
   /// Store-bytes discount of the compressed store path
   /// (JobSpec::compress_store): the store phase writes out_bytes /
   /// store_compression_ratio. Feed it a measured
@@ -200,15 +193,6 @@ struct StreamSimResult {
 StreamSimResult simulate_stream(std::span<const DecompositionPlan> plans,
                                 const SimConfig& config = {});
 
-/// Queue-driven service entry over simulate_stream: given the plan of every
-/// queued job in dispatch order, returns the predicted completion time of
-/// each job in virtual seconds from "the stream starts now" — i.e.
-/// simulate_stream(plans).epochs[i].done for every i. The service layer
-/// (service::ReconService) republishes these as per-job predicted
-/// completions whenever the queue changes; an empty queue predicts nothing.
-std::vector<double> predict_queue_completion(
-    std::span<const DecompositionPlan> plans, const SimConfig& config = {});
-
 /// Virtual-time phases of one distributed iterative job
 /// (iterative::run_iterative) on the plan's rank grid.
 struct IterSimResult {
@@ -238,13 +222,15 @@ struct QueuedJob {
   int subsets = 1;         ///< kIterative only (1 for SART/MLEM)
 };
 
-/// Mixed-queue completion prediction: contiguous runs of FDK jobs stream
-/// through simulate_stream (overlapping epochs, exactly like the service's
-/// batched dispatch), while each iterative job runs serially through
+/// Queue-driven service entry: given every queued job in dispatch order,
+/// returns each job's predicted completion in virtual seconds from "the
+/// queue starts now". Contiguous runs of FDK jobs stream through
+/// simulate_stream (overlapping epochs, exactly like the service's batched
+/// dispatch; an all-FDK queue predicts simulate_stream(plans).epochs[i].done
+/// for every i), while each iterative job runs serially through
 /// simulate_iterative — matching ReconService's one-at-a-time iterative
-/// dispatch. Returned times are virtual seconds from "the queue starts
-/// now", one per job in order. An all-FDK queue predicts exactly what the
-/// plan-span overload predicts.
+/// dispatch. service::ReconService republishes these as per-job predicted
+/// completions whenever the queue changes; an empty queue predicts nothing.
 std::vector<double> predict_queue_completion(std::span<const QueuedJob> jobs,
                                              const SimConfig& config = {});
 

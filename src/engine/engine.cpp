@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "postproc/compression.h"
-
 namespace ifdk::engine {
 
 int error_class(const std::exception_ptr& e) {
@@ -47,23 +45,6 @@ void assert_tag_budget(std::uint64_t before, std::uint64_t after,
   const std::uint64_t allowed =
       offset + budget <= window ? budget : budget + (window - offset);
   IFDK_ASSERT_MSG(after - before <= allowed, what);
-}
-
-mpi::WireCodec make_wire_codec(WireStats* stats) {
-  mpi::WireCodec codec;
-  codec.encode = [stats](const float* data, std::size_t count) {
-    std::vector<std::uint8_t> frame = postproc::encode_frame(data, count);
-    if (stats != nullptr) {
-      stats->raw_bytes += count * sizeof(float);
-      stats->encoded_bytes += frame.size();
-    }
-    return frame;
-  };
-  codec.decode = [](const std::uint8_t* data, std::size_t bytes, float* out,
-                    std::size_t count) {
-    return postproc::decode_frame(data, bytes, out, count);
-  };
-  return codec;
 }
 
 void extract_zmajor_slice(const float* zmajor, std::size_t nx, std::size_t ny,

@@ -83,22 +83,6 @@ double Device::d2h(float* dst, const DeviceBuffer& src, std::uint64_t bytes,
   return cost;
 }
 
-double Device::charge_h2d(std::uint64_t bytes) {
-  const double cost = spec_.pcie_latency_s +
-                      static_cast<double>(bytes) /
-                          spec_.pcie_bandwidth_bytes_per_s;
-  t_h2d_ += cost;
-  return cost;
-}
-
-double Device::charge_d2h(std::uint64_t bytes) {
-  const double cost = spec_.pcie_latency_s +
-                      static_cast<double>(bytes) /
-                          spec_.pcie_bandwidth_bytes_per_s;
-  t_d2h_ += cost;
-  return cost;
-}
-
 void Device::charge_kernel(double seconds) {
   IFDK_ASSERT(seconds >= 0);
   t_kernel_ += spec_.launch_latency_s + seconds;

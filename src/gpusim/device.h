@@ -109,13 +109,6 @@ class Device {
   /// KernelModel).
   void charge_kernel(double seconds);
 
-  /// Accounting-only transfers: charge the PCIe cost of moving `bytes`
-  /// without touching data. The iFDK pipeline uses these when the payload
-  /// already lives in host memory (the kernels execute on the CPU) but the
-  /// modeled V100 would have had to move it. Returns the charged seconds.
-  double charge_h2d(std::uint64_t bytes);
-  double charge_d2h(std::uint64_t bytes);
-
   // Virtual-clock ledger (seconds the modeled V100 would have spent).
   double virtual_h2d_seconds() const { return t_h2d_; }
   double virtual_d2h_seconds() const { return t_d2h_; }

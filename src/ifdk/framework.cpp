@@ -12,7 +12,6 @@
 #include "common/error.h"
 #include "engine/engine.h"
 #include "fft/fft.h"
-#include "gpusim/kernel_model.h"
 #include "minimpi/minimpi.h"
 
 namespace ifdk {
@@ -64,12 +63,7 @@ struct StreamRankStats {
   /// load+filter+gather+bp span ("compute"), written by the Bp-thread and
   /// read after its join.
   double compute = 0;
-  double v_h2d = 0;    ///< modeled PCIe H2D seconds (device ledger)
-  double v_kernel = 0; ///< modeled V100 kernel seconds
-  double v_d2h = 0;    ///< modeled PCIe D2H seconds
   std::vector<std::string> volume_errors;  ///< row roots only; "" = stored
-  /// This rank's framed reduce-encoder traffic (zero unless compress_wire).
-  engine::WireStats wire;
   /// Per-volume store accounting of the volumes this rank roots (all other
   /// entries stay default); every column-0 rank of a grid is a row root, so
   /// the cross-rank merge must SUM sse/values/bytes and MAX the peak.
@@ -86,21 +80,17 @@ class FdkStreamWorkload final : public engine::Workload {
   FdkStreamWorkload(pfs::ParallelFileSystem& fs, const IfdkOptions& options,
                     std::span<const JobSpec> volumes,
                     std::span<const DecompositionPlan> plans,
-                    std::uint64_t max_slab_bytes,
-                    std::uint64_t max_batch_bytes,
                     std::size_t max_gather_floats)
       : fs_(fs),
         options_(options),
         volumes_(volumes),
         plans_(plans),
-        max_slab_bytes_(max_slab_bytes),
-        max_batch_bytes_(max_batch_bytes),
         max_gather_floats_(max_gather_floats) {
     rank_stats_.resize(static_cast<std::size_t>(options.ranks));
   }
 
-  /// Workload-owned per-rank results (device ledger, compute span,
-  /// per-volume store errors), merged by the caller.
+  /// Workload-owned per-rank results (compute span, per-volume store
+  /// errors and accounting), merged by the caller.
   const StreamRankStats& rank_stats(std::size_t rank) const {
     return rank_stats_[rank];
   }
@@ -113,8 +103,6 @@ class FdkStreamWorkload final : public engine::Workload {
     std::span<const JobSpec> volumes = volumes_;
     std::span<const DecompositionPlan> plans = plans_;
     const std::size_t n_volumes = volumes.size();
-    const std::uint64_t max_slab_bytes = max_slab_bytes_;
-    const std::uint64_t max_batch_bytes = max_batch_bytes_;
     const std::size_t max_gather_floats = max_gather_floats_;
 
     mpi::Comm& world = ctx.world;
@@ -138,16 +126,6 @@ class FdkStreamWorkload final : public engine::Workload {
     }
     engine::EpochComms epoch_comms(world, rows_per_volume);
 
-    // Streaming keeps TWO slab pairs resident per device: the one the
-    // Bp-thread is accumulating (volume v+1) and the one draining through
-    // the row reduce (volume v) — both sized for the stream's largest slab.
-    gpusim::Device device(options.device);
-    gpusim::DeviceBuffer bp_slab_buf = device.allocate(max_slab_bytes);
-    gpusim::DeviceBuffer reduce_slab_buf =
-        device.allocate(n_volumes > 1 ? max_slab_bytes : 0);
-    gpusim::DeviceBuffer batch_buf = device.allocate(max_batch_bytes);
-    gpusim::KernelModel kernel_model;
-
     struct Filtered {
       std::size_t index;
       Image2D image;
@@ -162,7 +140,8 @@ class FdkStreamWorkload final : public engine::Workload {
     };
     CircularBuffer<Round> q_gathered(options.queue_capacity);
     // Depth-1 handoff: the Bp-thread may run at most one volume ahead of
-    // the reduce (bounding resident slabs to the double buffer above).
+    // the reduce, so at most two slab pairs are resident — the double
+    // buffer stream_fit_error budgets for.
     CircularBuffer<SlabPair> q_slabs(1);
 
     std::exception_ptr bp_error;
@@ -212,9 +191,6 @@ class FdkStreamWorkload final : public engine::Workload {
             prepare_volume(current_vol);
             prepared = true;
           }
-          for (const Filtered& f : round->images) {
-            device.charge_h2d(f.image.bytes());
-          }
           std::vector<Image2D> images;
           std::vector<geo::Mat34> mats;
           images.reserve(round->images.size());
@@ -226,13 +202,7 @@ class FdkStreamWorkload final : public engine::Workload {
           bp_timer.time("backprojection", [&] {
             backprojector->accumulate(slab, images, mats);
           });
-          const Problem sub{
-              {plan.geometry.nu, plan.geometry.nv, images.size()},
-              {plan.geometry.nx, plan.geometry.ny, 2 * plan.slab_h}};
-          device.charge_kernel(
-              kernel_model.kernel_seconds(bp::KernelVariant::kL1Tran, sub));
           if (++rounds_done == plan.rounds) {
-            bp_timer.time("d2h", [&] { device.charge_d2h(slab.bytes()); });
             if (!q_slabs.push(SlabPair{current_vol, std::move(slab)})) {
               throw QueueClosedError(
                   "iFDK streaming: slab queue closed before all volumes were "
@@ -275,9 +245,6 @@ class FdkStreamWorkload final : public engine::Workload {
         }
         engine::VolumeWriterSet writers(fs, options.queue_capacity, roots,
                                         store_bits);
-        // One codec for the whole stream: the counters live in this rank's
-        // stat sink and are only ever bumped from this thread.
-        const mpi::WireCodec wire_codec = engine::make_wire_codec(&stats.wire);
         std::vector<float> partial;
         std::vector<float> reduced;
         for (std::size_t v = 0; v < n_volumes; ++v) {
@@ -332,8 +299,7 @@ class FdkStreamWorkload final : public engine::Workload {
           mpi::Comm::CollectiveRequest req = row_comm.ireduce(
               partial.data(), col == 0 ? reduced.data() : nullptr,
               partial.size(), mpi::ReduceOp::kSum, /*root=*/0,
-              options.reduce_segment_floats, std::move(on_segment),
-              options.compress_wire ? &wire_codec : nullptr);
+              options.reduce_segment_floats, std::move(on_segment));
           reduce_timer.time("reduce", [&] { req.wait(); });
           engine::assert_tag_budget(
               tags_before, row_comm.collective_tags_reserved(),
@@ -483,9 +449,6 @@ class FdkStreamWorkload final : public engine::Workload {
     ctx.wall.merge(reduce_timer);
     ctx.wall.set_max("store", store_busy);
     ctx.wall.add("compute", stats.compute);
-    stats.v_h2d = device.virtual_h2d_seconds();
-    stats.v_kernel = device.virtual_kernel_seconds();
-    stats.v_d2h = device.virtual_d2h_seconds();
     ctx.total = rank_timer.seconds();
     if (ctx.total > 0) {
       ctx.efficiency.add(
@@ -509,8 +472,6 @@ class FdkStreamWorkload final : public engine::Workload {
   const IfdkOptions& options_;
   std::span<const JobSpec> volumes_;
   std::span<const DecompositionPlan> plans_;
-  std::uint64_t max_slab_bytes_;
-  std::uint64_t max_batch_bytes_;
   std::size_t max_gather_floats_;
   std::vector<StreamRankStats> rank_stats_;
 };
@@ -538,7 +499,9 @@ StreamingStats run_streaming(const geo::CbctGeometry& geometry,
   // One DecompositionPlan per volume: the volume's own geometry when set,
   // the run geometry otherwise. Validation errors name the volume. With
   // more than one volume the bp/reduce double buffer keeps TWO slab pairs
-  // resident, which the plan's memory-aware row selection accounts for.
+  // resident — the one the Bp-thread accumulates (volume v+1) and the one
+  // draining through the row reduce (volume v) — which the plan's
+  // memory-aware row selection accounts for.
   const std::size_t resident = n_volumes > 1 ? 2 : 1;
   std::vector<DecompositionPlan> plans;
   plans.reserve(n_volumes);
@@ -563,35 +526,18 @@ StreamingStats run_streaming(const geo::CbctGeometry& geometry,
     return out;
   }
 
-  // Stream-level memory constraint: the resident slab pairs span *adjacent*
-  // volumes of possibly different geometries, so the worst case is the
-  // largest slab in the stream, twice, plus the largest batch.
-  std::uint64_t max_slab_bytes = 0;
-  std::uint64_t max_batch_bytes = 0;
+  if (const std::string why = stream_fit_error(plans, options.device);
+      !why.empty()) {
+    throw DeviceOutOfMemory(why);
+  }
   std::size_t max_gather_floats = 0;  // largest rows * pixels in the stream
   for (const DecompositionPlan& plan : plans) {
-    max_slab_bytes = std::max(max_slab_bytes, plan.slab_bytes());
-    max_batch_bytes = std::max(
-        max_batch_bytes, static_cast<std::uint64_t>(plan.bp_batch) *
-                             plan.pixels * sizeof(float));
     max_gather_floats =
         std::max(max_gather_floats,
                  static_cast<std::size_t>(plan.grid.rows) * plan.pixels);
   }
-  if (resident * max_slab_bytes + max_batch_bytes >
-      options.device.memory_bytes) {
-    throw DeviceOutOfMemory(
-        "streaming needs " +
-        std::to_string(resident * max_slab_bytes + max_batch_bytes) +
-        " B of device memory (" + std::to_string(resident) +
-        " resident slab pair(s) of up to " + std::to_string(max_slab_bytes) +
-        " B + a batch of " + std::to_string(max_batch_bytes) +
-        " B) but the device has " +
-        std::to_string(options.device.memory_bytes) + " B");
-  }
 
-  FdkStreamWorkload workload(fs, options, volumes, plans, max_slab_bytes,
-                             max_batch_bytes, max_gather_floats);
+  FdkStreamWorkload workload(fs, options, volumes, plans, max_gather_floats);
   const engine::EngineStats engine_stats =
       engine::run(options.ranks, workload);
 
@@ -604,11 +550,6 @@ StreamingStats run_streaming(const geo::CbctGeometry& geometry,
   std::vector<pfs::StreamStats> store(n_volumes);
   for (std::size_t r = 0; r < static_cast<std::size_t>(options.ranks); ++r) {
     const StreamRankStats& rs = workload.rank_stats(r);
-    out.device_model.set_max("v_h2d", rs.v_h2d);
-    out.device_model.set_max("v_kernel", rs.v_kernel);
-    out.device_model.set_max("v_d2h", rs.v_d2h);
-    out.wire_raw_bytes += rs.wire.raw_bytes;
-    out.wire_encoded_bytes += rs.wire.encoded_bytes;
     for (std::size_t v = 0; v < n_volumes; ++v) {
       if (out.volume_errors[v].empty() && !rs.volume_errors[v].empty()) {
         out.volume_errors[v] = rs.volume_errors[v];

@@ -38,8 +38,9 @@
 // arithmetic and pins the output bit for bit.
 //
 // Wall-clock per stage is recorded per rank and merged, along with a
-// per-thread overlap efficiency (busy/wall); a gpusim::Device per rank
-// enforces the 16 GB memory constraint and keeps the modeled-V100 ledger.
+// per-thread overlap efficiency (busy/wall). The 16 GB per-GPU memory
+// constraint (IfdkOptions::device) is checked up front by the plan layer
+// (stream_fit_error), before any rank starts.
 #pragma once
 
 #include <cstddef>
@@ -85,7 +86,7 @@ struct StreamingStats {
   double volumes_per_second = 0;
   /// Per-stage busy seconds summed over all volumes, max over ranks (the
   /// pipeline-critical rank): "load", "filter", "allgather",
-  /// "backprojection", "d2h", "transpose", "reduce", "store", and
+  /// "backprojection", "transpose", "reduce", "store", and
   /// "compute" (the load+filter+gather+bp span).
   StageTimer wall;
   /// Busy/wall per pipeline thread, max over ranks: "main_thread" (load +
@@ -99,17 +100,9 @@ struct StreamingStats {
   /// writer hit. A failed volume never aborts the stream — later volumes
   /// keep flowing and must stay bit-exact (asserted by tests).
   std::vector<std::string> volume_errors;
-  /// Modeled V100 seconds summed over the device ledger of the slowest
-  /// rank, whole stream: "v_h2d", "v_kernel", "v_d2h".
-  StageTimer device_model;
 
-  // -- compression accounting -----------------------------------------------
+  // -- store accounting -----------------------------------------------------
 
-  /// Bytes the framed row-reduce encoder was fed, summed over ranks
-  /// (0 unless IfdkOptions::compress_wire).
-  std::size_t wire_raw_bytes = 0;
-  /// Frame bytes that actually went on the wire (headers included).
-  std::size_t wire_encoded_bytes = 0;
   /// Bytes row roots handed the store path (4 * voxels stored).
   std::size_t store_raw_bytes = 0;
   /// Bytes that actually hit the PFS (serialized compressed objects for
@@ -118,14 +111,6 @@ struct StreamingStats {
   /// Per-volume quantization PSNR of the stored slices in dB, merged over
   /// row roots; +inf for volumes stored raw (bit-exact store).
   std::vector<double> volume_store_psnr_db;
-  /// Achieved wire compression ratio raw/encoded (1 when no framed traffic
-  /// was sent).
-  double wire_ratio() const {
-    return wire_encoded_bytes == 0
-               ? 1.0
-               : static_cast<double>(wire_raw_bytes) /
-                     static_cast<double>(wire_encoded_bytes);
-  }
   /// Achieved store compression ratio raw/stored (1 when nothing stored).
   double store_ratio() const {
     return store_stored_bytes == 0

@@ -175,6 +175,26 @@ void DecompositionPlan::check_device_fit(const gpusim::DeviceSpec& spec) const {
   }
 }
 
+std::string stream_fit_error(std::span<const DecompositionPlan> plans,
+                             const gpusim::DeviceSpec& spec) {
+  const std::uint64_t resident = plans.size() > 1 ? 2 : 1;
+  std::uint64_t max_slab_bytes = 0;
+  std::uint64_t max_batch_bytes = 0;
+  for (const DecompositionPlan& plan : plans) {
+    max_slab_bytes = std::max(max_slab_bytes, plan.slab_bytes());
+    max_batch_bytes = std::max(
+        max_batch_bytes, static_cast<std::uint64_t>(plan.bp_batch) *
+                             plan.pixels * sizeof(float));
+  }
+  const std::uint64_t needed = resident * max_slab_bytes + max_batch_bytes;
+  if (needed <= spec.memory_bytes) return "";
+  return "streaming needs " + std::to_string(needed) +
+         " B of device memory (" + std::to_string(resident) +
+         " resident slab pair(s) of up to " + std::to_string(max_slab_bytes) +
+         " B + a batch of " + std::to_string(max_batch_bytes) +
+         " B) but the device has " + std::to_string(spec.memory_bytes) + " B";
+}
+
 void DecompositionPlan::check_invariants() const {
   // The R slab pairs disjointly cover [0, Nz).
   std::vector<bool> slice_owned(geometry.nz, false);

@@ -20,11 +20,14 @@
 // projection shards disjointly cover [0, Np), and the per-epoch collective
 // tag budgets bound the traffic the runtime actually reserves through
 // minimpi's `reserve_collective_tags` (asserted per epoch by the runtime and
-// property-tested against a live tag counter in tests/test_plan.cpp).
+// property-tested against a live tag counter in tests/test_plan.cpp). The
+// memory constraint of a whole stream of plans (stream_fit_error) lives here
+// too, so run_streaming and the service batcher apply one formula.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,14 +66,7 @@ struct IfdkOptions {
   /// per-message cost. Volumes are bitwise-identical for every value (the
   /// fold is element-wise). Matches mpi::Comm::kDefaultReduceSegment.
   std::size_t reduce_segment_floats = std::size_t{1} << 16;
-  /// Frame the row-ireduce wire traffic with the lossless postproc codec
-  /// (byte-plane shuffle + RLE, raw fallback): senders compress segments,
-  /// tree relays concatenate the self-describing frames verbatim, the root
-  /// decompresses before the fold. Lossless by construction, so volumes are
-  /// bitwise identical to compress_wire=false (pinned by test); the achieved
-  /// ratio is reported in StreamingStats.
-  bool compress_wire = false;
-  /// Simulated per-rank GPU (memory budget + modeled PCIe/kernel rates).
+  /// Simulated per-rank GPU: its memory budget bounds the plan (§4.1.5).
   gpusim::DeviceSpec device;
   /// Projection objects are read from `<input_prefix><s>`, s in [0, Np).
   std::string input_prefix = "proj/";
@@ -225,8 +221,7 @@ struct DecompositionPlan {
   /// one projection batch.
   std::uint64_t device_bytes() const;
   /// Throws DeviceOutOfMemory (naming the numbers) when device_bytes() does
-  /// not fit `spec.memory_bytes`. The runtime still enforces the budget at
-  /// allocation time; this front-loads the failure with a better message.
+  /// not fit `spec.memory_bytes`.
   void check_device_fit(const gpusim::DeviceSpec& spec) const;
 
   /// True when `other` resolves to the same R x C grid — the condition
@@ -241,5 +236,15 @@ struct DecompositionPlan {
   /// violation. make() runs this — exposed for property tests.
   void check_invariants() const;
 };
+
+/// The stream-level memory check (§4.1.5 over a whole run_streaming call):
+/// the resident slab pairs span *adjacent* volumes of possibly different
+/// geometries, so a stream of `plans` needs its largest slab pair twice
+/// (once for a single volume) plus its largest projection batch. Returns ""
+/// when that fits `spec.memory_bytes`, otherwise the DeviceOutOfMemory
+/// message naming the numbers. run_streaming throws on it; the service
+/// batcher stops growing a batch before it stops fitting.
+std::string stream_fit_error(std::span<const DecompositionPlan> plans,
+                             const gpusim::DeviceSpec& spec);
 
 }  // namespace ifdk

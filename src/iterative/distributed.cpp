@@ -11,7 +11,6 @@
 #include "common/image.h"
 #include "common/volume.h"
 #include "engine/engine.h"
-#include "gpusim/device.h"
 #include "iterative/iterative.h"
 #include "minimpi/minimpi.h"
 #include "projector/forward.h"
@@ -38,7 +37,7 @@ class IterativeWorkload final : public engine::Workload {
  public:
   IterativeWorkload(pfs::ParallelFileSystem& fs, const IfdkOptions& options,
                     const JobSpec& job, const DecompositionPlan& plan)
-      : fs_(fs), options_(options), job_(job), plan_(plan) {
+      : fs_(fs), job_(job), plan_(plan) {
     outs_.resize(static_cast<std::size_t>(options.ranks));
   }
 
@@ -56,12 +55,6 @@ class IterativeWorkload final : public engine::Workload {
     const int rank = ctx.rank;
     IterRankOut& out = outs_[static_cast<std::size_t>(rank)];
     Timer rank_timer;
-
-    // The replicated-volume working set must fit the simulated device; the
-    // allocator enforces what run_iterative's admission check promised.
-    gpusim::Device device(options_.device);
-    gpusim::DeviceBuffer working_set =
-        device.allocate(plan.iter_device_bytes(subsets));
 
     // ---- Load this rank's view shard (ascending projection index) ---------
     const std::vector<std::size_t> shard =
@@ -140,11 +133,10 @@ class IterativeWorkload final : public engine::Workload {
           ray_norm.push_back(fp.project(ones, g.beta(s)));
         }
       }
-      vox_norm.reserve(static_cast<std::size_t>(is_mlem ? 1 : subsets));
-      for (int sub = 0; sub < (is_mlem ? 1 : subsets); ++sub) {
+      vox_norm.reserve(static_cast<std::size_t>(subsets));
+      for (int sub = 0; sub < subsets; ++sub) {
         Volume norm(g.nx, g.ny, g.nz);
-        for (const std::size_t idx :
-             is_mlem ? owned_in_subset(0) : owned_in_subset(sub)) {
+        for (const std::size_t idx : owned_in_subset(sub)) {
           backproject_unweighted(g, ones_img, g.beta(shard[idx]), norm);
         }
         allreduce_volume(norm);
@@ -153,7 +145,7 @@ class IterativeWorkload final : public engine::Workload {
     });
     engine::assert_tag_budget(
         setup_before, world.collective_tags_reserved(),
-        plan.iter_setup_tag_budget(is_mlem ? 1 : subsets),
+        plan.iter_setup_tag_budget(subsets),
         "iterative normalization exceeded the plan's setup tag budget");
 
     // ---- Iterate ----------------------------------------------------------
@@ -232,7 +224,7 @@ class IterativeWorkload final : public engine::Workload {
       const double rmse = std::sqrt(static_cast<double>(total) / total_pixels);
       engine::assert_tag_budget(
           iter_before, world.collective_tags_reserved(),
-          plan.iter_iteration_tag_budget(is_mlem ? 1 : subsets),
+          plan.iter_iteration_tag_budget(subsets),
           "iterative iteration exceeded the plan's tag budget");
       out.residual_rmse.push_back(rmse);
       out.iterations_run = it + 1;
@@ -262,7 +254,6 @@ class IterativeWorkload final : public engine::Workload {
 
  private:
   pfs::ParallelFileSystem& fs_;
-  const IfdkOptions& options_;
   const JobSpec& job_;
   const DecompositionPlan& plan_;
   std::vector<IterRankOut> outs_;
@@ -280,8 +271,7 @@ IterStats run_iterative(const geo::CbctGeometry& geometry,
                "dispatch through run_streaming");
   const geo::CbctGeometry g = job.geometry.value_or(geometry);
   const DecompositionPlan plan = DecompositionPlan::make(g, options);
-  const int subsets =
-      job.iterative.algorithm == Algorithm::kMlem ? 1 : job.iterative.subsets;
+  const int subsets = job.iterative.subsets;  // 1 for MLEM (validated)
   if (plan.iter_device_bytes(subsets) > options.device.memory_bytes) {
     throw DeviceOutOfMemory(
         "iterative reconstruction needs " +

@@ -66,26 +66,6 @@ class World {
     if (bytes > 0) std::memcpy(data, payload.data(), bytes);
   }
 
-  /// Like fetch(), but returns the matched payload whatever its size. Wire
-  /// frames are variable-length (a compressed segment's size depends on its
-  /// content), so the framed ireduce paths cannot pre-size a receive buffer.
-  std::vector<char> fetch_any(std::uint64_t comm_id, int my_world,
-                              int src_comm_rank, int tag) {
-    Mailbox& box = boxes_[static_cast<std::size_t>(my_world)];
-    const Key key{comm_id, src_comm_rank, tag};
-    std::unique_lock<std::mutex> lock(box.mutex);
-    box.cv.wait(lock, [&] {
-      if (aborted_.load(std::memory_order_relaxed)) return true;
-      auto it = box.queues.find(key);
-      return it != box.queues.end() && !it->second.empty();
-    });
-    check_alive();
-    auto& queue = box.queues[key];
-    std::vector<char> payload = std::move(queue.front());
-    queue.pop_front();
-    return payload;
-  }
-
   void abort() {
     aborted_.store(true);
     for (auto& box : boxes_) {
@@ -401,34 +381,10 @@ struct FanInTree {
 
 }  // namespace
 
-namespace {
-
-/// Decodes the `frames` concatenated wire frames of a fan-in block (each
-/// `len` floats, written to consecutive `len`-strided slots of `out`) and
-/// requires the block to be exactly consumed — trailing bytes mean a peer
-/// framed its message wrong or the block was corrupted in flight.
-void decode_frame_block(const WireCodec& wire, const std::vector<char>& block,
-                        std::size_t frames, std::size_t len, float* out) {
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(block.data());
-  std::size_t off = 0;
-  for (std::size_t f = 0; f < frames; ++f) {
-    off += wire.decode(bytes + off, block.size() - off, out + f * len, len);
-  }
-  if (off != block.size()) {
-    throw CompressionError("ireduce wire block: " +
-                           std::to_string(block.size() - off) +
-                           " trailing bytes after " + std::to_string(frames) +
-                           " frames at offset " + std::to_string(off));
-  }
-}
-
-}  // namespace
-
 Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
                                       std::size_t count, ReduceOp op, int root,
                                       std::size_t segment_floats,
-                                      SegmentCallback on_segment,
-                                      const WireCodec* wire) {
+                                      SegmentCallback on_segment) {
   IFDK_ASSERT(root >= 0 && root < size());
   IFDK_ASSERT_MSG(segment_floats > 0,
                   "ireduce segment size must be positive (and identical on "
@@ -438,16 +394,8 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
   IFDK_ASSERT_MSG(segments <= kCollectiveTagWindow,
                   "ireduce segment count exceeds the collective tag window");
   if (segments == 0) return CollectiveRequest([] {});
-  // The codec is copied now (captured by value below): completion lambdas
-  // may run long after the caller's WireCodec went out of scope.
-  const bool use_wire = wire != nullptr;
-  IFDK_ASSERT_MSG(!use_wire || (wire->encode && wire->decode),
-                  "ireduce wire codec requires both encode and decode");
-  const WireCodec codec = use_wire ? *wire : WireCodec{};
   // Per segment, every non-root vrank sends exactly one message to its
-  // parent, so the reduce consumes one sequence number per segment. Framing
-  // changes message *sizes*, never message *count*, so the budget holds
-  // with a wire codec too.
+  // parent, so the reduce consumes one sequence number per segment.
   const int tag = reserve_collective_tags(segments);
   const int p = size();
 
@@ -470,15 +418,8 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
     for (std::size_t s = 0; s < segments; ++s) {
       const std::size_t offset = s * segment_floats;
       const std::size_t len = std::min(segment_floats, count - offset);
-      if (use_wire) {
-        const std::vector<std::uint8_t> frame =
-            codec.encode(send_data + offset, len);
-        world_->post(comm_id_, parent, rank_, tag + static_cast<int>(s),
-                     frame.data(), frame.size());
-      } else {
-        world_->post(comm_id_, parent, rank_, tag + static_cast<int>(s),
-                     send_data + offset, len * sizeof(float));
-      }
+      world_->post(comm_id_, parent, rank_, tag + static_cast<int>(s),
+                   send_data + offset, len * sizeof(float));
     }
     return CollectiveRequest([] {});
   }
@@ -487,39 +428,19 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
     // Relay: per segment, gather the children's subtree blocks, splice in
     // this rank's own contribution at vrank position 0, and forward the
     // assembled [v, v+span) block to the parent. Runs inside wait().
-    // With a wire codec the relay never decodes: frames are self-describing,
-    // so the upward block is this rank's own frame followed by the children's
-    // byte blocks verbatim — the concatenate-only invariant that keeps
-    // results bitwise identical to reduce() carries over to framed traffic.
     return CollectiveRequest([world = world_, comm_id = comm_id_,
                               members = members_, rank = rank_, p, root,
                               vrank, tree, send_data, count, segment_floats,
-                              segments, tag, use_wire, codec] {
+                              segments, tag] {
       const int my_world = members[static_cast<std::size_t>(rank)];
       const int parent =
           members[static_cast<std::size_t>((tree.parent(vrank) + root) % p)];
       const std::vector<int> children = tree.children(vrank);
       const std::size_t span = static_cast<std::size_t>(tree.span(vrank));
-      std::vector<float> block(use_wire ? 0
-                                        : span * std::min(segment_floats,
-                                                          count));
-      std::vector<std::uint8_t> frames;
+      std::vector<float> block(span * std::min(segment_floats, count));
       for (std::size_t s = 0; s < segments; ++s) {
         const std::size_t offset = s * segment_floats;
         const std::size_t len = std::min(segment_floats, count - offset);
-        if (use_wire) {
-          frames = codec.encode(send_data + offset, len);
-          for (const int child : children) {
-            const int child_rank = (child + root) % p;
-            const std::vector<char> child_block = world->fetch_any(
-                comm_id, my_world, child_rank, tag + static_cast<int>(s));
-            frames.insert(frames.end(), child_block.begin(),
-                          child_block.end());
-          }
-          world->post(comm_id, parent, rank, tag + static_cast<int>(s),
-                      frames.data(), frames.size());
-          continue;
-        }
         std::memcpy(block.data(), send_data + offset, len * sizeof(float));
         for (const int child : children) {
           const std::size_t child_span =
@@ -543,7 +464,7 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
   return CollectiveRequest([world = world_, comm_id = comm_id_,
                             members = members_, rank = rank_, p, root, tree,
                             send_data, recv, count, op, segment_floats,
-                            segments, tag, use_wire, codec,
+                            segments, tag,
                             on_segment = std::move(on_segment)] {
     const int my_world = members[static_cast<std::size_t>(rank)];
     const std::vector<int> children = tree.children(0);
@@ -558,21 +479,9 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
         const std::size_t child_span =
             static_cast<std::size_t>(tree.span(child));
         const int child_rank = (child + root) % p;
-        if (use_wire) {
-          // One concatenated block of child_span frames, in ascending vrank
-          // order — decode them into the same vrank-indexed slots the raw
-          // path receives into.
-          const std::vector<char> child_block = world->fetch_any(
-              comm_id, my_world, child_rank, tag + static_cast<int>(s));
-          decode_frame_block(
-              codec, child_block, child_span, len,
-              incoming.data() + static_cast<std::size_t>(child) * len);
-        } else {
-          world->fetch(comm_id, my_world, child_rank,
-                       tag + static_cast<int>(s),
-                       incoming.data() + static_cast<std::size_t>(child) * len,
-                       child_span * len * sizeof(float));
-        }
+        world->fetch(comm_id, my_world, child_rank, tag + static_cast<int>(s),
+                     incoming.data() + static_cast<std::size_t>(child) * len,
+                     child_span * len * sizeof(float));
       }
       // Ascending-rank fold, exactly like reduce(): rank r's contribution
       // sits at vrank (r - root + p) % p.

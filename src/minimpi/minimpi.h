@@ -42,29 +42,6 @@ namespace detail {
 class World;
 }  // namespace detail
 
-/// Optional lossless per-segment codec for ireduce wire traffic. When a
-/// codec is supplied, every non-root contribution travels as a
-/// self-describing *frame* (produced by `encode`) instead of raw floats:
-/// leaves encode-on-send, relays concatenate frames verbatim (frames carry
-/// their own length, so the binomial fan-in composes unchanged), and only
-/// the folding root decodes. The codec must be lossless — the reduce
-/// contract is that results stay bitwise identical to the uncompressed
-/// path. minimpi stays codec-agnostic: the engine layer injects the
-/// postproc frame codec through this seam (engine::make_wire_codec).
-struct WireCodec {
-  /// Encodes `count` floats into one self-describing frame.
-  std::function<std::vector<std::uint8_t>(const float* data,
-                                          std::size_t count)>
-      encode;
-  /// Decodes one frame from `data` (at most `bytes` available) into `out`
-  /// (exactly `count` floats) and returns the frame bytes consumed, so
-  /// concatenated frames parse sequentially. Must throw (CompressionError)
-  /// on corrupt input rather than decode garbage.
-  std::function<std::size_t(const std::uint8_t* data, std::size_t bytes,
-                            float* out, std::size_t count)>
-      decode;
-};
-
 /// Thrown from any blocked or initiated operation when the world was aborted
 /// (another rank failed, or abort_world() was called). Typed so error
 /// reporting can prefer the root cause over this secondary symptom:
@@ -233,20 +210,10 @@ class Comm {
   /// the root. Multiple ireduce epochs may be in flight on one communicator
   /// (each reserves its own tag block at initiation) as long as every
   /// member initiates them in the same order.
-  ///
-  /// `wire` (must be set on every member or none — frames and raw floats
-  /// cannot mix within one reduce) frames each contribution with the given
-  /// lossless codec: senders encode, relays concatenate the self-describing
-  /// frames verbatim, the root decodes before the fold. The fold order is
-  /// untouched, so a lossless codec keeps results bitwise identical to the
-  /// unframed path at unchanged tag budget (one sequence number per segment
-  /// either way). The codec is copied at initiation; the caller's WireCodec
-  /// need not outlive the call.
   CollectiveRequest ireduce(const float* send_data, float* recv,
                             std::size_t count, ReduceOp op, int root,
                             std::size_t segment_floats = kDefaultReduceSegment,
-                            SegmentCallback on_segment = {},
-                            const WireCodec* wire = nullptr);
+                            SegmentCallback on_segment = {});
 
   // -- collectives ---------------------------------------------------------
 

@@ -33,7 +33,6 @@ std::vector<float> read_compressed_object(const ParallelFileSystem& fs,
 AsyncWriter::AsyncWriter(ParallelFileSystem& fs, std::size_t queue_capacity)
     : fs_(fs),
       queue_(queue_capacity),
-      streams_(1),
       worker_([this] { run(); }) {}
 
 AsyncWriter::~AsyncWriter() {
@@ -82,15 +81,6 @@ bool AsyncWriter::enqueue(StreamId stream, std::string name,
   return true;
 }
 
-void AsyncWriter::enqueue(std::string name, std::vector<float> payload) {
-  if (!enqueue(StreamId{0}, std::move(name), std::move(payload))) {
-    // Root-cause behaviour of the single-stream API: surface the writer
-    // error at the producer immediately (and only once).
-    finish_stream(0);
-    throw Error("AsyncWriter: queue closed before enqueue completed");
-  }
-}
-
 void AsyncWriter::finish_stream(StreamId stream) {
   std::unique_lock<std::mutex> lock(mutex_);
   IFDK_ASSERT_MSG(stream < streams_.size(),
@@ -124,10 +114,6 @@ void AsyncWriter::finish() {
 
 double AsyncWriter::busy_seconds() const {
   return busy_seconds_.load(std::memory_order_relaxed);
-}
-
-std::size_t AsyncWriter::writes_completed() const {
-  return writes_.load(std::memory_order_relaxed);
 }
 
 void AsyncWriter::run() {
@@ -174,7 +160,6 @@ void AsyncWriter::run() {
         busy_seconds_.store(busy_seconds_.load(std::memory_order_relaxed) +
                                 t.seconds(),
                             std::memory_order_relaxed);
-        writes_.fetch_add(1, std::memory_order_relaxed);
         {
           std::lock_guard<std::mutex> lock(mutex_);
           StreamStats& stats = streams_[item->stream].stats;

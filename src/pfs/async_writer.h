@@ -75,8 +75,8 @@ struct StreamStats {
 /// observe errors; the destructor drains silently if it was not.
 class AsyncWriter {
  public:
-  /// Identifies one independent write stream (one 4D-CT volume). Stream 0
-  /// always exists — the single-stream enqueue/finish API below uses it.
+  /// Identifies one independent write stream (one 4D-CT volume), as
+  /// returned by open_stream().
   using StreamId = std::size_t;
 
   /// Starts the writer thread. `fs` must outlive this object.
@@ -94,8 +94,7 @@ class AsyncWriter {
   /// called after finish(). With `compression` set the stream stores
   /// serialized CompressedVolume objects instead of raw floats (the payload
   /// is compressed on the writer thread); read them back with
-  /// read_compressed_object(). Stream 0 (the single-stream API) is always
-  /// uncompressed.
+  /// read_compressed_object().
   StreamId open_stream(std::optional<StreamCompression> compression = {});
 
   /// This stream's byte/error accounting so far. Call after finish_stream()
@@ -117,12 +116,6 @@ class AsyncWriter {
   /// are unaffected. May be called while other streams keep enqueueing.
   void finish_stream(StreamId stream);
 
-  /// Single-stream convenience (stream 0): like enqueue(0, ...) but an
-  /// already-failed stream rethrows the root-cause error immediately
-  /// instead of returning false, preserving the PR 3 contract that a
-  /// blocked producer gets the writer's error rather than silence.
-  void enqueue(std::string name, std::vector<float> payload);
-
   /// Closes the queue, waits for every queued write to hit the store, and
   /// rethrows the first error that no finish_stream() call has claimed yet
   /// (if any). Idempotent.
@@ -131,9 +124,6 @@ class AsyncWriter {
   /// Wall-clock seconds the writer thread spent inside write_object — the
   /// "busy" numerator of the store stage's overlap efficiency.
   double busy_seconds() const;
-
-  /// Number of objects written so far (successful writes only).
-  std::size_t writes_completed() const;
 
  private:
   struct Item {
@@ -161,7 +151,6 @@ class AsyncWriter {
   std::thread worker_;
   bool finished_ = false;
   std::atomic<double> busy_seconds_{0.0};
-  std::atomic<std::size_t> writes_{0};
 };
 
 /// Reads one serialized CompressedVolume object (as written by a compressed

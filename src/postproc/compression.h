@@ -13,15 +13,15 @@
 //     so the store-stage savings can be fed back into the performance model
 //     (a compressed 8K store at ratio r cuts Tstore by r).
 //
-//   * The LOSSLESS wire codec (encode_frame / decode_frame): byte-plane
-//     shuffle + per-plane RLE with a guaranteed raw-frame fallback, so the
-//     encoded payload is never larger than the raw floats (ratio >= 1 by
-//     construction). Frames are self-describing — a fixed header carries the
-//     mode, word count, payload length, and an FNV-1a checksum — so framed
-//     contributions can be concatenated back-to-back (the tree-ireduce relay
-//     path) and parsed without out-of-band length information. Round trips
-//     are bitwise exact, NaN/Inf payloads included (the codec never
-//     interprets the bits as floats).
+//   * The LOSSLESS frame codec (FWF1; encode_frame / decode_frame):
+//     byte-plane shuffle + per-plane RLE with a guaranteed raw-frame
+//     fallback, so the encoded payload is never larger than the raw floats
+//     (ratio >= 1 by construction). Frames are self-describing — a fixed
+//     header carries the mode, word count, payload length, and an FNV-1a
+//     checksum — so frames can be concatenated back-to-back and parsed
+//     without out-of-band length information. Round trips are bitwise
+//     exact, NaN/Inf payloads included (the codec never interprets the bits
+//     as floats).
 //
 // Corrupt input of either codec throws ifdk::CompressionError naming the
 // offending byte offset; decoders validate before touching payload bytes.

@@ -51,8 +51,6 @@ struct ServiceState {
   std::size_t batches = 0;
   std::size_t resplits = 0;
   std::size_t admitted_output_bytes = 0;  ///< raw output bytes past admission
-  std::size_t wire_raw_bytes = 0;         ///< framed-reduce encoder input
-  std::size_t wire_encoded_bytes = 0;     ///< frame bytes on the wire
   std::size_t store_raw_bytes = 0;        ///< bytes handed the store path
   std::size_t store_stored_bytes = 0;     ///< bytes that hit the PFS
   bool have_last_grid = false;
@@ -92,13 +90,6 @@ bool dispatches_before(const std::shared_ptr<JobRecord>& a,
   return a->id < b->id;
 }
 
-/// Effective subset count of an iterative job (MLEM iterates whole sweeps).
-int effective_subsets(const JobSpec& spec) {
-  return spec.iterative.algorithm == iterative::Algorithm::kMlem
-             ? 1
-             : spec.iterative.subsets;
-}
-
 /// Re-sorts the queue into dispatch order and republishes every queued
 /// job's predicted completion from the mixed-queue recurrence (FDK runs
 /// stream together through simulate_stream; iterative jobs run serially
@@ -114,7 +105,7 @@ void reorder_and_predict_locked(ServiceState& st,
     if (job->spec.workload == WorkloadKind::kIterative) {
       q.iterative = true;
       q.iterations = job->spec.iterative.iterations;
-      q.subsets = effective_subsets(job->spec);
+      q.subsets = job->spec.iterative.subsets;
     }
     jobs.push_back(std::move(q));
   }
@@ -253,7 +244,7 @@ JobHandle ReconService::submit(JobSpec spec) {
   };
   const std::uint64_t window = mpi::Comm::kCollectiveTagWindow;
   if (is_iterative) {
-    const int subsets = effective_subsets(spec);
+    const int subsets = spec.iterative.subsets;
     if (plan.iter_device_bytes(subsets) > options_.ifdk.device.memory_bytes) {
       throw reject("iterative job needs " +
                    std::to_string(plan.iter_device_bytes(subsets)) +
@@ -303,7 +294,7 @@ JobHandle ReconService::submit(JobSpec spec) {
     ++tenant.submitted;
     // Admission byte accounting: the job's claim on the store is its raw
     // output volume, counted the moment it is accepted (what it WILL move;
-    // the measured wire/store counters report what dispatch actually moved).
+    // the measured store counters report what dispatch actually moved).
     const std::size_t output_bytes = plan.volume_floats() * sizeof(float);
     tenant.admitted_output_bytes += output_bytes;
     state_->admitted_output_bytes += output_bytes;
@@ -354,8 +345,6 @@ ServiceStats ReconService::stats() const {
           ? st.queue_latency_sum / static_cast<double>(st.dispatched_jobs)
           : 0;
   out.admitted_output_bytes = st.admitted_output_bytes;
-  out.wire_raw_bytes = st.wire_raw_bytes;
-  out.wire_encoded_bytes = st.wire_encoded_bytes;
   out.store_raw_bytes = st.store_raw_bytes;
   out.store_stored_bytes = st.store_stored_bytes;
   out.tenants = st.tenants;
@@ -383,16 +372,29 @@ void ReconService::dispatch_loop() {
     // prefix of the dispatch order, capped at max_batch. Contiguity in the
     // *sorted* queue is what keeps the priority promise — the scheduler
     // never skips a higher-priority job to pack a warmer batch behind it.
-    // FDK batches stream as one run_streaming call; iterative batches
-    // dispatch job by job (each run_iterative is its own world).
+    // FDK batches stream as one run_streaming call, so an FDK batch also
+    // stops growing before the stream's memory check (stream_fit_error)
+    // would fail it; iterative batches dispatch job by job (each
+    // run_iterative is its own world).
     reorder_and_predict_locked(st, options_.sim);
     std::vector<std::shared_ptr<JobRecord>> batch;
     batch.push_back(st.queue.front());
+    const bool iterative_batch =
+        batch.front()->spec.workload == WorkloadKind::kIterative;
+    std::vector<DecompositionPlan> batch_plans{batch.front()->plan};
     while (batch.size() < options_.max_batch &&
-           batch.size() < st.queue.size() &&
-           st.queue[batch.size()]->plan.same_grid(batch.front()->plan) &&
-           st.queue[batch.size()]->spec.workload ==
-               batch.front()->spec.workload) {
+           batch.size() < st.queue.size()) {
+      const JobRecord& next = *st.queue[batch.size()];
+      if (!next.plan.same_grid(batch.front()->plan) ||
+          next.spec.workload != batch.front()->spec.workload) {
+        break;
+      }
+      if (!iterative_batch) {
+        batch_plans.push_back(next.plan);
+        if (!stream_fit_error(batch_plans, options_.ifdk.device).empty()) {
+          break;
+        }
+      }
       batch.push_back(st.queue[batch.size()]);
     }
     st.queue.erase(st.queue.begin(),
@@ -423,8 +425,6 @@ void ReconService::dispatch_loop() {
     // Execute outside the lock: submit/stats/handles stay responsive while
     // the workload runs. The batch jobs are out of the queue, so only this
     // thread touches them until the re-lock below.
-    const bool iterative_batch =
-        batch.front()->spec.workload == WorkloadKind::kIterative;
     lock.unlock();
     StreamingStats streamed;
     std::string batch_error;
@@ -461,11 +461,9 @@ void ReconService::dispatch_loop() {
     lock.lock();
 
     if (!iterative_batch && batch_error.empty()) {
-      // Measured byte movement of the dispatched stream: what the framed
-      // reduce wire and the store path actually carried, summed across
-      // batches so stats() reports ratio-of-sums.
-      st.wire_raw_bytes += streamed.wire_raw_bytes;
-      st.wire_encoded_bytes += streamed.wire_encoded_bytes;
+      // Measured byte movement of the dispatched stream: what the store
+      // path actually carried, summed across batches so stats() reports
+      // ratio-of-sums.
       st.store_raw_bytes += streamed.store_raw_bytes;
       st.store_stored_bytes += streamed.store_stored_bytes;
     }

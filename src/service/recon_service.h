@@ -27,8 +27,10 @@
 //     promote a job past a higher band), then submit order. The dispatcher
 //     hands the longest contiguous same-grid, same-workload prefix of that
 //     order to one dispatch: FDK batches stream through run_streaming on
-//     warm same-grid communicators; iterative batches execute job by job
-//     through run_iterative, each behind its own failure barrier.
+//     warm same-grid communicators, and grow only while the whole stream
+//     still fits the device (ifdk::stream_fit_error — admission checks each
+//     job alone); iterative batches execute job by job through
+//     run_iterative, each behind its own failure barrier.
 //   * Prediction: whenever the queue changes, the live queue's plan sequence
 //     is fed through cluster::predict_queue_completion (the simulate_stream
 //     recurrence) and every queued job's predicted completion is published
@@ -138,11 +140,6 @@ struct ServiceStats {
 
   /// Raw output bytes (4 * voxels) accepted past admission, all tenants.
   std::size_t admitted_output_bytes = 0;
-  /// Bytes fed to the framed row-reduce wire encoder across all dispatched
-  /// FDK streams (0 unless IfdkOptions::compress_wire).
-  std::size_t wire_raw_bytes = 0;
-  /// Frame bytes that actually crossed the wire (headers included).
-  std::size_t wire_encoded_bytes = 0;
   /// Bytes row roots handed the store path across all dispatched streams.
   std::size_t store_raw_bytes = 0;
   /// Bytes that actually hit the PFS (serialized compressed objects for

@@ -365,16 +365,16 @@ TEST(SimulatorIterative, PhasesComposeAndScaleWithIterationsSubsetsRanks) {
 TEST(SimulatorQueue, MixedQueueComposesStreamsAndSerialIterativeJobs) {
   const DecompositionPlan plan = make_plan(problem_2k(), 128);
 
-  // An all-FDK queue predicts exactly what the plan-span overload predicts.
+  // An all-FDK queue streams as one batch: each job completes when its
+  // simulate_stream epoch does.
   const std::vector<QueuedJob> all_fdk = {{plan}, {plan}, {plan}};
   const std::vector<DecompositionPlan> plans = {plan, plan, plan};
-  const std::vector<double> mixed_entry =
+  const std::vector<double> fdk_done =
       predict_queue_completion(std::span<const QueuedJob>(all_fdk));
-  const std::vector<double> plan_entry =
-      predict_queue_completion(std::span<const DecompositionPlan>(plans));
-  ASSERT_EQ(mixed_entry.size(), plan_entry.size());
-  for (std::size_t i = 0; i < plan_entry.size(); ++i) {
-    EXPECT_DOUBLE_EQ(mixed_entry[i], plan_entry[i]) << "job " << i;
+  const StreamSimResult stream = simulate_stream(plans);
+  ASSERT_EQ(fdk_done.size(), stream.epochs.size());
+  for (std::size_t i = 0; i < fdk_done.size(); ++i) {
+    EXPECT_DOUBLE_EQ(fdk_done[i], stream.epochs[i].done) << "job " << i;
   }
 
   // FDK, ITER, FDK: the iterative job runs serially between the two FDK
@@ -409,21 +409,13 @@ TEST(Platforms, Dgx2ReasonableForFourKAndFastForTwoK) {
   EXPECT_LT(two_k.t_runtime, four_k.t_runtime);
 }
 
-TEST(SimulatorCompression, ByteDiscountsShrinkReduceAndStorePhases) {
-  // The bytes-on-the-wire discount: feeding measured compression ratios
-  // into SimConfig must shrink exactly the phases that move the discounted
-  // bytes — t_reduce for the wire ratio, t_store for the store ratio — and
-  // leave the compute pipeline untouched.
+TEST(SimulatorCompression, StoreDiscountShrinksOnlyTheStorePhase) {
+  // The store-bytes discount: feeding a measured store compression ratio
+  // into SimConfig must shrink exactly the phase that moves the discounted
+  // bytes — t_store — and leave the reduce and the compute pipeline
+  // untouched.
   const DecompositionPlan plan = make_plan(problem_4k(), 2048, 2);
   const SimResult base = simulate_plan(plan);
-
-  SimConfig wire;
-  wire.wire_compression_ratio = 2.0;
-  const SimResult wired = simulate_plan(plan, wire);
-  EXPECT_LT(wired.t_reduce, base.t_reduce);
-  EXPECT_DOUBLE_EQ(wired.t_store, base.t_store);
-  EXPECT_DOUBLE_EQ(wired.t_compute, base.t_compute);
-  EXPECT_LT(wired.t_runtime, base.t_runtime);
 
   SimConfig store;
   store.store_compression_ratio = 3.0;
@@ -437,19 +429,10 @@ TEST(SimulatorCompression, ByteDiscountsShrinkReduceAndStorePhases) {
   // a free 3x.
   EXPECT_GT(stored.t_store, base.t_store / 3.0);
 
-  // A ratio below 1 (header-overhead regime measured on small runs) must
-  // model a cost, not a win.
-  SimConfig bloat;
-  bloat.wire_compression_ratio = 0.99;
-  EXPECT_GT(simulate_plan(plan, bloat).t_reduce, base.t_reduce);
-
-  // The streaming forecast inherits the discounts: a 2,048-rank stream
-  // with both ratios applied finishes measurably earlier.
+  // The streaming forecast inherits the discount: a 2,048-rank stream
+  // with the store ratio applied finishes measurably earlier.
   const std::vector<DecompositionPlan> plans(4, plan);
-  SimConfig both;
-  both.wire_compression_ratio = 2.0;
-  both.store_compression_ratio = 3.0;
-  const StreamSimResult fast = simulate_stream(plans, both);
+  const StreamSimResult fast = simulate_stream(plans, store);
   const StreamSimResult slow = simulate_stream(plans);
   EXPECT_LT(fast.t_total, slow.t_total);
   EXPECT_GT(fast.volumes_per_second, slow.volumes_per_second);

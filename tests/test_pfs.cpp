@@ -125,13 +125,17 @@ TEST(Pfs, StripeAccounting) {
 TEST(AsyncWriter, WritesEverythingBeforeFinishReturns) {
   ParallelFileSystem fs;
   AsyncWriter writer(fs, /*queue_capacity=*/4);
+  const AsyncWriter::StreamId stream = writer.open_stream();
   constexpr int kObjects = 37;  // more than the queue holds: back-pressure
   for (int i = 0; i < kObjects; ++i) {
-    writer.enqueue("vol/" + std::to_string(i),
-                   std::vector<float>(16, static_cast<float>(i)));
+    EXPECT_TRUE(writer.enqueue(stream, "vol/" + std::to_string(i),
+                               std::vector<float>(16, static_cast<float>(i))));
   }
+  writer.finish_stream(stream);
   writer.finish();
-  EXPECT_EQ(writer.writes_completed(), static_cast<std::size_t>(kObjects));
+  // Every write landed: the stream's accounting covers all kObjects.
+  const std::size_t object_bytes = 16 * sizeof(float);
+  EXPECT_EQ(writer.stream_stats(stream).stored_bytes, kObjects * object_bytes);
   for (int i = 0; i < kObjects; ++i) {
     std::vector<float> back(16);
     fs.read_object("vol/" + std::to_string(i), back.data(),
@@ -144,23 +148,24 @@ TEST(AsyncWriter, WritesEverythingBeforeFinishReturns) {
 TEST(AsyncWriter, FinishIsIdempotentAndEnqueueAfterFinishThrows) {
   ParallelFileSystem fs;
   AsyncWriter writer(fs);
-  writer.enqueue("a", {1.0f});
+  const AsyncWriter::StreamId stream = writer.open_stream();
+  writer.enqueue(stream, "a", {1.0f});
   writer.finish();
   writer.finish();  // idempotent
-  EXPECT_THROW(writer.enqueue("b", {2.0f}), Error);
+  EXPECT_THROW(writer.enqueue(stream, "b", {2.0f}), Error);
 }
 
 TEST(AsyncWriter, DestructorDrainsWithoutFinish) {
   ParallelFileSystem fs;
   {
     AsyncWriter writer(fs);
-    writer.enqueue("drained", {4.0f});
+    writer.enqueue(writer.open_stream(), "drained", {4.0f});
   }
   EXPECT_TRUE(fs.exists("drained"));
 }
 
 /// Store that fails every write: the error must come back out of finish()
-/// (or a later enqueue), not vanish on the writer thread.
+/// (or finish_stream), not vanish on the writer thread.
 class AlwaysFailingFs : public ParallelFileSystem {
  public:
   void write_object(const std::string& name, const void*,
@@ -172,9 +177,10 @@ class AlwaysFailingFs : public ParallelFileSystem {
 TEST(AsyncWriter, WriterThreadErrorSurfacesFromFinish) {
   AlwaysFailingFs fs;
   AsyncWriter writer(fs);
-  writer.enqueue("x", {1.0f});
+  const AsyncWriter::StreamId stream = writer.open_stream();
+  writer.enqueue(stream, "x", {1.0f});
   EXPECT_THROW(writer.finish(), IoError);
-  EXPECT_EQ(writer.writes_completed(), 0u);
+  EXPECT_EQ(writer.stream_stats(stream).stored_bytes, 0u);
 }
 
 /// Store that fails writes whose names carry a given prefix; everything
@@ -266,19 +272,21 @@ TEST(AsyncWriter, OpenStreamAfterFinishThrows) {
 }
 
 TEST(AsyncWriter, WriterThreadErrorSurfacesFromBlockedEnqueue) {
-  // After the writer dies, the queue closes; a producer pushing into it must
-  // get the root-cause IoError instead of blocking forever.
+  // A producer blocked on a full queue of a failing stream must be refused
+  // (enqueue returns false) instead of blocking forever, and then get the
+  // root-cause IoError from finish_stream.
   AlwaysFailingFs fs;
   AsyncWriter writer(fs, /*queue_capacity=*/1);
-  EXPECT_THROW(
-      {
-        for (int i = 0; i < 1000; ++i) {
-          std::string name = "x";  // avoids a gcc-12 -Wrestrict false
-          name += std::to_string(i);  // positive on operator+(char*, &&)
-          writer.enqueue(std::move(name), std::vector<float>(1024, 0.0f));
-        }
-      },
-      IoError);
+  const AsyncWriter::StreamId stream = writer.open_stream();
+  bool refused = false;
+  for (int i = 0; i < 1000 && !refused; ++i) {
+    std::string name = "x";  // avoids a gcc-12 -Wrestrict false
+    name += std::to_string(i);  // positive on operator+(char*, &&)
+    refused = !writer.enqueue(stream, std::move(name),
+                              std::vector<float>(1024, 0.0f));
+  }
+  EXPECT_TRUE(refused);
+  EXPECT_THROW(writer.finish_stream(stream), IoError);
 }
 
 }  // namespace

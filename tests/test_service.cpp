@@ -169,8 +169,8 @@ TEST(ServiceAdmission, TagBudgetOverflowRejectsAtSubmitNamingTheNumbers) {
 TEST(ServiceAdmission, ByteAccountingTracksAdmissionAndCompression) {
   // Admission charges each tenant the job's raw output bytes (4 * voxels of
   // its plan) the moment it is accepted; after dispatch the service-wide
-  // wire/store counters report what the streams actually moved, so
-  // ratio-of-sums is the service's achieved compression.
+  // store counters report what the streams actually moved, so
+  // ratio-of-sums is the service's achieved store compression.
   const auto g = small_geometry();  // 12^3 output = 6912 raw bytes
   std::vector<ServiceJob> jobs;
   for (std::size_t i = 0; i < 3; ++i) jobs.push_back(make_job(i, g));
@@ -185,7 +185,6 @@ TEST(ServiceAdmission, ByteAccountingTracksAdmissionAndCompression) {
   ServiceOptions opts;
   opts.ifdk.ranks = 4;
   opts.ifdk.rows = 2;
-  opts.ifdk.compress_wire = true;
   opts.start_paused = true;
   ReconService svc(g, fs, opts);
   std::vector<JobHandle> handles;
@@ -197,7 +196,6 @@ TEST(ServiceAdmission, ByteAccountingTracksAdmissionAndCompression) {
   EXPECT_EQ(queued.tenants.at("alice").admitted_output_bytes, 2 * job_bytes);
   EXPECT_EQ(queued.tenants.at("bob").admitted_output_bytes, job_bytes);
   // Nothing dispatched yet: the measured counters are still zero.
-  EXPECT_EQ(queued.wire_raw_bytes, 0u);
   EXPECT_EQ(queued.store_raw_bytes, 0u);
 
   svc.drain();
@@ -207,8 +205,6 @@ TEST(ServiceAdmission, ByteAccountingTracksAdmissionAndCompression) {
 
   const ServiceStats done = svc.stats();
   EXPECT_EQ(done.admitted_output_bytes, 3 * job_bytes);
-  EXPECT_GT(done.wire_raw_bytes, 0u);        // compress_wire was on
-  EXPECT_GT(done.wire_encoded_bytes, 0u);
   EXPECT_EQ(done.store_raw_bytes, 3 * job_bytes);
   // One of three volumes stored compressed: fewer bytes hit the PFS than
   // were handed to the store path.
@@ -217,6 +213,42 @@ TEST(ServiceAdmission, ByteAccountingTracksAdmissionAndCompression) {
 }
 
 // ---- Scheduling order -------------------------------------------------------
+
+TEST(ServiceScheduling, BatchStopsGrowingBeforeTheStreamOutgrowsTheDevice) {
+  // Admission checks each job alone (two slab pairs plus its own batch),
+  // but a batch streams as one run_streaming call, which needs the largest
+  // slab pair twice plus the largest batch. These two same-grid jobs fit
+  // one at a time and not together:
+  //   A: 16^2 x 8 -> 32^3: 2 * 65536 + 32768 = 163840 B alone,
+  //   B: 64^2 x 8 ->  8^3: 2 * 1024 + 524288 = 526336 B alone,
+  //   together: 2 * 65536 + 524288 = 655360 B > 600000 B.
+  // The batcher must dispatch them as two batches, and both must store.
+  const auto geom_a = geo::make_standard_geometry({{16, 16, 8}, {32, 32, 32}});
+  const auto geom_b = geo::make_standard_geometry({{64, 64, 8}, {8, 8, 8}});
+  std::vector<ServiceJob> jobs;
+  jobs.push_back(make_job(0, geom_a));
+  jobs.push_back(make_job(1, geom_b));
+  for (ServiceJob& job : jobs) job.spec.geometry = job.g;
+
+  pfs::ParallelFileSystem fs;
+  stage_jobs(fs, jobs);
+  ServiceOptions opts;
+  opts.ifdk.ranks = 4;
+  opts.ifdk.rows = 2;
+  opts.ifdk.device.memory_bytes = 600000;
+  opts.start_paused = true;  // both jobs queued before the first batch forms
+  ReconService svc(geom_a, fs, opts);
+  std::vector<JobHandle> handles;
+  for (const ServiceJob& job : jobs) handles.push_back(svc.submit(job.spec));
+  svc.drain();
+
+  for (const JobHandle& h : handles) {
+    EXPECT_EQ(h.state(), JobState::kStored) << h.error();
+  }
+  EXPECT_EQ(handles[0].dispatch_seq(), 0);
+  EXPECT_EQ(handles[1].dispatch_seq(), 1);
+  EXPECT_EQ(svc.stats().batches, 2u);
+}
 
 TEST(ServiceScheduling, PriorityDominatesDeadlineAcrossBands) {
   // The deadline-inversion case: the priority-0 job has the EARLIEST

@@ -500,71 +500,6 @@ TEST(StreamingFailure, ReadFailureSurfacesRootCause) {
   }
 }
 
-TEST(StreamingCompression, WireOnOffBitwiseIdenticalAcrossGridSets) {
-  // The wire-compression pin: streaming with IfdkOptions::compress_wire on
-  // versus off must produce identical volumes (bitwise) and identical
-  // StreamingStats::volume_errors across the same heterogeneous grid sets
-  // the MixedGeometryStreaming equivalence tests sweep — the lossless frame
-  // codec may change only the bytes on the wire, never the fold.
-  struct GridSet {
-    const char* name;
-    std::vector<Problem> problems;
-    int rows;
-    std::size_t sub_volume_bytes;  ///< 0 = keep the microbench default
-  };
-  const GridSet sets[] = {
-      {"alternating Nz",
-       {{{32, 32, 16}, {12, 12, 12}}, {{32, 32, 16}, {12, 12, 8}},
-        {{32, 32, 16}, {12, 12, 12}}, {{32, 32, 16}, {12, 12, 8}}},
-       2, 0},
-      {"varying Np",
-       {{{32, 32, 16}, {12, 12, 12}}, {{32, 32, 8}, {12, 12, 12}},
-        {{32, 32, 16}, {12, 12, 12}}},
-       2, 0},
-      {"grid re-split",
-       {{{32, 32, 16}, {12, 12, 12}}, {{32, 32, 16}, {12, 12, 16}},
-        {{32, 32, 16}, {12, 12, 12}}, {{32, 32, 16}, {12, 12, 16}}},
-       0, 8192},
-  };
-  for (const GridSet& set : sets) {
-    const MixedScene s = make_mixed_scene(set.problems);
-    IfdkOptions opts;
-    opts.ranks = 4;
-    opts.rows = set.rows;
-    if (set.sub_volume_bytes > 0) {
-      opts.microbench.sub_volume_bytes = set.sub_volume_bytes;
-    }
-
-    pfs::ParallelFileSystem fs_off;
-    stage_mixed(fs_off, s);
-    opts.compress_wire = false;
-    const StreamingStats off = run_streaming(s.geoms[0], fs_off, opts,
-                                             s.volumes);
-
-    pfs::ParallelFileSystem fs_on;
-    stage_mixed(fs_on, s);
-    opts.compress_wire = true;
-    const StreamingStats on = run_streaming(s.geoms[0], fs_on, opts,
-                                            s.volumes);
-
-    const std::string context = std::string(set.name) + ", wire on vs off";
-    ASSERT_EQ(off.volume_errors, on.volume_errors) << context;
-    expect_mixed_bitwise_equal(fs_off, fs_on, s, context);
-
-    // The accounting must reflect what actually happened: no framed
-    // traffic when off, a measured ratio when on. Full-precision partial
-    // sums are mantissa noise, so these tiny volumes ride the raw-frame
-    // fallback and the ratio sits just under 1 (per-frame header overhead)
-    // — the lossless guarantee is the bound, not a win.
-    EXPECT_EQ(off.wire_encoded_bytes, 0u) << context;
-    EXPECT_GT(on.wire_raw_bytes, 0u) << context;
-    EXPECT_GT(on.wire_ratio(), 0.9) << context;
-    EXPECT_LE(on.wire_encoded_bytes,
-              on.wire_raw_bytes + (on.wire_raw_bytes / 10))
-        << context;
-  }
-}
-
 TEST(StreamingCompression, CompressedStoreBoundedErrorAndStats) {
   // JobSpec::compress_store stores serialized CompressedVolume slices: the
   // readback must match the raw-store run within half a quantization step,

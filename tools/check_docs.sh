@@ -18,8 +18,9 @@
 #    two-space-indented class members and column-0 free functions;
 #    move/copy boilerplate, destructors and `= default/delete` lines are
 #    exempt).
-# 3. Stale names: identifiers of deleted FDK execution paths, option knobs
-#    and minimpi collectives must not reappear in src/, docs/ or README.md.
+# 3. Stale names: identifiers of deleted FDK execution paths, option knobs,
+#    minimpi collectives, the framed row-reduce and the runtime's device
+#    ledger must not reappear in src/, docs/ or README.md.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -95,6 +96,8 @@ done
 # `allgather_ring(` must not be preceded by an `i` (iallgather_ring stays).
 stale='BlockingFdkWorkload|IfdkStats|ReduceFanIn|ReduceAlgo|use_ring_allgather'
 stale+='|fuse_filter_gather|reduce_fan_in|(^|[^i])allgather_ring\(|reduce_tree'
+stale+='|compress_wire|WireCodec|make_wire_codec|WireStats|wire_ratio'
+stale+='|wire_compression_ratio|device_model'
 if grep -rnE "$stale" src docs README.md; then
   echo "STALE NAME: the lines above name a deleted execution path or knob"
   fail=1
