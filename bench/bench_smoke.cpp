@@ -26,6 +26,7 @@
 #include "iterative/distributed.h"
 #include "pfs/pfs.h"
 #include "postproc/compression.h"
+#include "projector/forward.h"
 #include "service/recon_service.h"
 
 namespace {
@@ -327,6 +328,33 @@ FilterResult time_filter(const bench::Scene& scene, int runs) {
   return f;
 }
 
+/// Forward-projector smoke point: serial per-view times of the iterative
+/// solvers' operator A on the voxelized phantom, and of its row norms A*1
+/// (ray_lengths), at the default step (0.5 x min pitch). Serial because each
+/// rank of the distributed solver runs its projector on one thread.
+struct ProjectorResult {
+  std::size_t views = 8;
+  double forward_ms_per_view = 0.0;
+  double ray_lengths_ms_per_view = 0.0;
+};
+
+ProjectorResult time_projector(const bench::Scene& scene, int runs) {
+  ProjectorResult r;
+  const Volume vol = phantom::voxelize(phantom::shepp_logan(), scene.g);
+  const projector::ForwardProjector fp(scene.g);
+  const double views = static_cast<double>(r.views);
+  const auto beta = [&](std::size_t n) {
+    return scene.g.beta(n * scene.g.np / r.views);
+  };
+  r.forward_ms_per_view = bench::median_seconds(runs, [&] {
+    for (std::size_t n = 0; n < r.views; ++n) fp.project(vol, beta(n));
+  }) * 1e3 / views;
+  r.ray_lengths_ms_per_view = bench::median_seconds(runs, [&] {
+    for (std::size_t n = 0; n < r.views; ++n) fp.ray_lengths(beta(n));
+  }) * 1e3 / views;
+  return r;
+}
+
 Result time_backprojection(const char* name, const bench::Scene& scene,
                            bp::BpConfig cfg, int runs) {
   const auto matrices = geo::make_all_projection_matrices(scene.g);
@@ -416,6 +444,9 @@ int main(int argc, char** argv) {
 
   // Filter-stage smoke point: the FFT batch backends head to head.
   const FilterResult filt = time_filter(scene, kRuns);
+
+  // Forward-projector smoke point: A and A*1 per view, serial.
+  const ProjectorResult proj = time_projector(scene, kRuns);
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -549,6 +580,14 @@ int main(int argc, char** argv) {
                  n + 1 < filt.rows.size() ? "," : "");
   }
   std::fprintf(out, "    ]\n  },\n");
+  std::fprintf(out,
+               "  \"projector\": {\n"
+               "    \"views\": %zu,\n"
+               "    \"forward_ms_per_view\": %.4f,\n"
+               "    \"ray_lengths_ms_per_view\": %.4f\n"
+               "  },\n",
+               proj.views, proj.forward_ms_per_view,
+               proj.ray_lengths_ms_per_view);
 
   // The resolved decomposition of the pipeline/streaming points above: the
   // same DecompositionPlan object the runtime consumed, recorded so the
@@ -669,6 +708,9 @@ int main(int argc, char** argv) {
               comp.store_ratio, comp.store_bits,
               comp.min_store_psnr_db, comp.encode_mb_per_s,
               comp.decode_mb_per_s);
+  std::printf("  projector (serial): forward %.3f ms/view, ray_lengths "
+              "%.3f ms/view\n",
+              proj.forward_ms_per_view, proj.ray_lengths_ms_per_view);
   std::printf("  iterative %s x%d through %dx%d: %.3f s (%.2f iter/s); "
               "residual %.4f -> %.4f\n",
               iter.stats.algorithm.c_str(), iter.stats.iterations_run,

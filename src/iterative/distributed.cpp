@@ -125,12 +125,9 @@ class IterativeWorkload final : public engine::Workload {
       Image2D ones_img(g.nu, g.nv, /*zero_fill=*/false);
       ones_img.fill(1.0f);
       if (!is_mlem) {
-        Volume ones(g.nx, g.ny, g.nz, VolumeLayout::kXMajor,
-                    /*zero_fill=*/false);
-        ones.fill(1.0f);
         ray_norm.reserve(shard.size());
         for (const std::size_t s : shard) {
-          ray_norm.push_back(fp.project(ones, g.beta(s)));
+          ray_norm.push_back(fp.ray_lengths(g.beta(s)));
         }
       }
       vox_norm.reserve(static_cast<std::size_t>(subsets));

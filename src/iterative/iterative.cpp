@@ -13,18 +13,6 @@ namespace {
 
 constexpr float kEps = 1e-6f;
 
-/// Forward-projects `volume` at every angle of `betas` using `fp`.
-Image2D forward_view(const projector::ForwardProjector& fp,
-                     const Volume& volume, double beta) {
-  return fp.project(volume, beta);
-}
-
-Volume ones_volume(const geo::CbctGeometry& g) {
-  Volume v(g.nx, g.ny, g.nz, VolumeLayout::kXMajor, /*zero_fill=*/false);
-  v.fill(1.0f);
-  return v;
-}
-
 }  // namespace
 
 void backproject_unweighted(const geo::CbctGeometry& geometry,
@@ -45,12 +33,16 @@ void backproject_unweighted(const geo::CbctGeometry& geometry,
     float* out = volume.slice(k);
     for (std::size_t j = 0; j < geometry.ny; ++j) {
       const float fj = static_cast<float>(j);
+      // The j/k terms of the three dot products are constant along the row.
+      const float xjk = m[1] * fj + m[2] * fk + m[3];
+      const float yjk = m[5] * fj + m[6] * fk + m[7];
+      const float zjk = m[9] * fj + m[10] * fk + m[11];
       float* row = out + j * geometry.nx;
       for (std::size_t i = 0; i < geometry.nx; ++i) {
         const float fi = static_cast<float>(i);
-        const float x = m[0] * fi + m[1] * fj + m[2] * fk + m[3];
-        const float y = m[4] * fi + m[5] * fj + m[6] * fk + m[7];
-        const float z = m[8] * fi + m[9] * fj + m[10] * fk + m[11];
+        const float x = m[0] * fi + xjk;
+        const float y = m[4] * fi + yjk;
+        const float z = m[8] * fi + zjk;
         const float f = 1.0f / z;
         row[i] += bp::interp2(img, nu, nv, x * f, y * f);
       }
@@ -78,11 +70,10 @@ Volume sart(const geo::CbctGeometry& geometry,
   projector::ForwardProjector fp(geometry, fopts);
 
   // Row normalization: ray lengths through the volume, A * 1.
-  const Volume ones = ones_volume(geometry);
   std::vector<Image2D> ray_norm;
   ray_norm.reserve(geometry.np);
   for (std::size_t s = 0; s < geometry.np; ++s) {
-    ray_norm.push_back(forward_view(fp, ones, geometry.beta(s)));
+    ray_norm.push_back(fp.ray_lengths(geometry.beta(s)));
   }
 
   // Column normalization per subset: B_subset * 1.
@@ -108,7 +99,7 @@ Volume sart(const geo::CbctGeometry& geometry,
       Volume update(geometry.nx, geometry.ny, geometry.nz);
       for (std::size_t s = static_cast<std::size_t>(sub); s < geometry.np;
            s += static_cast<std::size_t>(subsets)) {
-        const Image2D fwd = forward_view(fp, x, geometry.beta(s));
+        const Image2D fwd = fp.project(x, geometry.beta(s));
         for (std::size_t n = 0; n < resid.pixels(); ++n) {
           const float norm = std::max(ray_norm[s].data()[n], kEps);
           resid.data()[n] =
@@ -169,7 +160,7 @@ Volume mlem(const geo::CbctGeometry& geometry,
   for (int it = 0; it < options.iterations; ++it) {
     Volume ratio_bp(geometry.nx, geometry.ny, geometry.nz);
     for (std::size_t s = 0; s < geometry.np; ++s) {
-      const Image2D fwd = forward_view(fp, x, geometry.beta(s));
+      const Image2D fwd = fp.project(x, geometry.beta(s));
       for (std::size_t n = 0; n < ratio.pixels(); ++n) {
         ratio.data()[n] =
             projections[s].data()[n] / std::max(fwd.data()[n], kEps);

@@ -1,16 +1,31 @@
-// Ray-driven forward projection through a voxel volume.
+// Ray-driven forward projection through a voxel volume: the forward operator
+// A of the iterative solvers (Section 6.2's SART/OS-SART/MLEM, single-node
+// and distributed), paired with the unweighted back-projection A^T. Tests
+// also cross-check the analytic ellipsoid projector against it.
 //
-// The FDK pipeline itself never needs this (projections come from the
-// scanner, or analytically from the phantom), but two parts of the
-// reproduction do:
-//   * the iterative solvers of Section 6.2 (ART/SART/MLEM) need a matched
-//     forward operator A to pair with the back-projection A^T;
-//   * tests cross-check the analytic ellipsoid projector against ray
-//     marching through the voxelized phantom.
+// Each source->pixel ray is sampled with trilinear interpolation at
+// t0 + (m + 1/2) * step, m = 0, 1, ..., where t0 is the ray's entry into the
+// volume's bounding box and step = step_fraction * min_pitch (the standard
+// Joseph-style sampling RTK's voxel projectors use). A sample contributes
+// only on the closed index box [0, n-1]^3, widened by kFaceTolerance, and is
+// zero outside it.
 //
-// The sampler marches the source->pixel ray across the volume's bounding box
-// with trilinear interpolation at `step_fraction * min_pitch` steps (the
-// standard Siddon/Joseph-style sampling used by RTK's voxel projectors).
+// The arithmetic is hoisted out of the sample loop the way the paper's
+// Theorem 3 hoists it out of back-projection:
+//   * per view, the source and the detector basis are set up once (one
+//     sin/cos pair);
+//   * per ray, the sample index range [first, last] inside the index box is
+//     found once, by clipping in closed form and trimming both ends with
+//     the inside predicate. The box is convex and each sample's fractional
+//     index a + b*m is monotone in m per axis, so every sample between two
+//     inside end samples is inside too;
+//   * the sample loop evaluates a + b*m directly (no accumulated drift) and
+//     reads the volume through raw strides with no per-sample checks.
+//
+// ray_lengths() is A*1 from the same ray setup: each inside sample of an
+// all-ones volume interpolates to exactly 1.0f (every lerp is
+// v0 + (v1 - v0) * w), so it returns float(count * step), bitwise equal to
+// project(ones, beta), without an all-ones volume.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +36,12 @@
 #include "geometry/cbct.h"
 
 namespace ifdk::projector {
+
+/// How far (in voxels) outside a face of the index box a sample still counts
+/// as on it. Samples can land exactly on a face: an axis-aligned ray stepping
+/// one pitch hits every voxel centre, the first and last on the faces. The
+/// tolerance keeps rounding noise from deciding those ties.
+inline constexpr double kFaceTolerance = 1e-9;
 
 struct ForwardOptions {
   /// Step length as a fraction of the smallest voxel pitch.
@@ -39,9 +60,10 @@ class ForwardProjector {
   /// The volume must be kXMajor.
   Image2D project(const Volume& volume, double beta) const;
 
-  /// Trilinear sample of the volume at fractional voxel index (i, j, k);
-  /// returns 0 outside. Exposed for the iterative solvers.
-  static float sample(const Volume& volume, double i, double j, double k);
+  /// Row norms A*1 at gantry angle beta: per pixel, the number of samples
+  /// inside the index box times the step. Bitwise equal to projecting an
+  /// all-ones volume.
+  Image2D ray_lengths(double beta) const;
 
  private:
   geo::CbctGeometry geometry_;

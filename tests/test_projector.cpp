@@ -1,18 +1,23 @@
-// Forward projector tests: trilinear sampling (including the interp2-style
-// border cases), agreement with the analytic ellipsoid projector, and the
-// projector/back-projector consistency property the iterative solvers'
-// normalizations depend on: A*1 and B*1 finite and positive over randomized
-// geometries.
+// Forward projector tests: the reference trilinear sampler (including the
+// interp2-style border cases), agreement with the serial ray-marching oracle
+// over randomized geometries and degenerate 1- and 2-voxel axes, A*1 from
+// ray_lengths bitwise equal to projecting an all-ones volume, agreement with
+// the analytic ellipsoid projector, and the projector/back-projector
+// consistency property the iterative solvers' normalizations depend on: A*1
+// and B*1 finite and positive over randomized geometries.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
+#include <string>
 
 #include "common/math_util.h"
 #include "geometry/cbct.h"
 #include "iterative/iterative.h"
 #include "phantom/phantom.h"
 #include "projector/forward.h"
+#include "projector_oracle.h"
 
 namespace ifdk::projector {
 namespace {
@@ -21,9 +26,9 @@ TEST(TrilinearSample, ExactAtVoxelCenters) {
   Volume v(3, 3, 3);
   v.at(1, 1, 1) = 7.0f;
   v.at(2, 1, 0) = 3.0f;
-  EXPECT_FLOAT_EQ(ForwardProjector::sample(v, 1, 1, 1), 7.0f);
-  EXPECT_FLOAT_EQ(ForwardProjector::sample(v, 2, 1, 0), 3.0f);
-  EXPECT_FLOAT_EQ(ForwardProjector::sample(v, 0, 0, 0), 0.0f);
+  EXPECT_FLOAT_EQ(trilinear_sample_oracle(v, 1, 1, 1), 7.0f);
+  EXPECT_FLOAT_EQ(trilinear_sample_oracle(v, 2, 1, 0), 3.0f);
+  EXPECT_FLOAT_EQ(trilinear_sample_oracle(v, 0, 0, 0), 0.0f);
 }
 
 TEST(TrilinearSample, InterpolatesMidpoints) {
@@ -32,17 +37,17 @@ TEST(TrilinearSample, InterpolatesMidpoints) {
   v.at(1, 0, 0) = 1.0f;
   v.at(0, 1, 0) = 2.0f;
   v.at(0, 0, 1) = 4.0f;
-  EXPECT_FLOAT_EQ(ForwardProjector::sample(v, 0.5, 0, 0), 0.5f);
-  EXPECT_FLOAT_EQ(ForwardProjector::sample(v, 0, 0.5, 0), 1.0f);
-  EXPECT_FLOAT_EQ(ForwardProjector::sample(v, 0, 0, 0.5), 2.0f);
+  EXPECT_FLOAT_EQ(trilinear_sample_oracle(v, 0.5, 0, 0), 0.5f);
+  EXPECT_FLOAT_EQ(trilinear_sample_oracle(v, 0, 0.5, 0), 1.0f);
+  EXPECT_FLOAT_EQ(trilinear_sample_oracle(v, 0, 0, 0.5), 2.0f);
 }
 
 TEST(TrilinearSample, OutsideIsZero) {
   Volume v(2, 2, 2);
   v.fill(5.0f);
-  EXPECT_EQ(ForwardProjector::sample(v, -0.5, 0, 0), 0.0f);
-  EXPECT_EQ(ForwardProjector::sample(v, 0, 1.5, 0), 0.0f);
-  EXPECT_EQ(ForwardProjector::sample(v, 0, 0, 5.0), 0.0f);
+  EXPECT_EQ(trilinear_sample_oracle(v, -0.5, 0, 0), 0.0f);
+  EXPECT_EQ(trilinear_sample_oracle(v, 0, 1.5, 0), 0.0f);
+  EXPECT_EQ(trilinear_sample_oracle(v, 0, 0, 5.0), 0.0f);
 }
 
 TEST(ForwardProjector, MatchesAnalyticProjection) {
@@ -134,21 +139,21 @@ TEST(TrilinearSample, BorderCasesClampAndCutOff) {
   }
   // Exactly on the far corner: the clamped +1 neighbors carry zero weight,
   // so the corner voxel comes back exactly.
-  EXPECT_FLOAT_EQ(ForwardProjector::sample(v, 2, 2, 2), v.at(2, 2, 2));
-  EXPECT_FLOAT_EQ(ForwardProjector::sample(v, 2, 0, 0), v.at(2, 0, 0));
+  EXPECT_FLOAT_EQ(trilinear_sample_oracle(v, 2, 2, 2), v.at(2, 2, 2));
+  EXPECT_FLOAT_EQ(trilinear_sample_oracle(v, 2, 0, 0), v.at(2, 0, 0));
   // Just inside the far edge: interpolates the last voxel pair, no
   // out-of-bounds read, finite value between the neighbors.
-  const float near_edge = ForwardProjector::sample(v, 1.75, 2, 2);
+  const float near_edge = trilinear_sample_oracle(v, 1.75, 2, 2);
   EXPECT_TRUE(std::isfinite(near_edge));
   EXPECT_GT(near_edge, v.at(1, 2, 2));
   EXPECT_LT(near_edge, v.at(2, 2, 2));
   // Strictly outside — even by a hair — is exactly zero on every axis.
-  EXPECT_EQ(ForwardProjector::sample(v, 2.001, 1, 1), 0.0f);
-  EXPECT_EQ(ForwardProjector::sample(v, 1, 2.001, 1), 0.0f);
-  EXPECT_EQ(ForwardProjector::sample(v, 1, 1, 2.001), 0.0f);
-  EXPECT_EQ(ForwardProjector::sample(v, -0.001, 1, 1), 0.0f);
-  EXPECT_EQ(ForwardProjector::sample(v, 1, -0.001, 1), 0.0f);
-  EXPECT_EQ(ForwardProjector::sample(v, 1, 1, -0.001), 0.0f);
+  EXPECT_EQ(trilinear_sample_oracle(v, 2.001, 1, 1), 0.0f);
+  EXPECT_EQ(trilinear_sample_oracle(v, 1, 2.001, 1), 0.0f);
+  EXPECT_EQ(trilinear_sample_oracle(v, 1, 1, 2.001), 0.0f);
+  EXPECT_EQ(trilinear_sample_oracle(v, -0.001, 1, 1), 0.0f);
+  EXPECT_EQ(trilinear_sample_oracle(v, 1, -0.001, 1), 0.0f);
+  EXPECT_EQ(trilinear_sample_oracle(v, 1, 1, -0.001), 0.0f);
 }
 
 TEST(OperatorConsistency, ForwardAndBackProjectionOfOnesArePositiveFinite) {
@@ -177,10 +182,8 @@ TEST(OperatorConsistency, ForwardAndBackProjectionOfOnesArePositiveFinite) {
                                 std::to_string(nv) + " det, beta index " +
                                 std::to_string(s);
 
-    // A*1: ray integrals through an all-ones volume.
-    Volume ones(g.nx, g.ny, g.nz, VolumeLayout::kXMajor, false);
-    ones.fill(1.0f);
-    const Image2D row_norm = ForwardProjector(g).project(ones, beta);
+    // A*1: ray lengths through the volume, as the solvers compute them.
+    const Image2D row_norm = ForwardProjector(g).ray_lengths(beta);
     for (std::size_t n = 0; n < row_norm.pixels(); ++n) {
       ASSERT_TRUE(std::isfinite(row_norm.data()[n]))
           << context << ", pixel " << n;
@@ -206,6 +209,105 @@ TEST(OperatorConsistency, ForwardAndBackProjectionOfOnesArePositiveFinite) {
       ASSERT_TRUE(std::isfinite(col_norm.data()[n]))
           << context << ", voxel " << n;
       ASSERT_GT(col_norm.data()[n], 0.0f) << context << ", voxel " << n;
+    }
+  }
+}
+
+/// Volume of uniform values in [0.5, 1.5]: strictly positive, so a pixel is
+/// zero exactly when its ray has no sample on the index box.
+Volume random_positive_volume(const geo::CbctGeometry& g, std::mt19937& rng) {
+  std::uniform_real_distribution<float> value(0.5f, 1.5f);
+  Volume v(g.nx, g.ny, g.nz, VolumeLayout::kXMajor, false);
+  for (std::size_t n = 0; n < v.voxels(); ++n) v.data()[n] = value(rng);
+  return v;
+}
+
+/// project() against the serial oracle: within 1e-5 x peak everywhere with
+/// the identical zero pattern; and ray_lengths() memcmp-equal to projecting
+/// an all-ones volume. Returns the number of nonzero pixels.
+std::size_t expect_matches_oracle(const geo::CbctGeometry& g,
+                                  const Volume& vol, double step_fraction,
+                                  double beta, const std::string& context) {
+  ForwardOptions opts;
+  opts.step_fraction = step_fraction;
+  const ForwardProjector fp(g, opts);
+  const Image2D got = fp.project(vol, beta);
+  const Image2D want = forward_project_oracle(g, vol, beta, step_fraction);
+  double peak = 0;
+  for (std::size_t n = 0; n < want.pixels(); ++n) {
+    peak = std::max(peak, std::abs(static_cast<double>(want.data()[n])));
+  }
+  std::size_t nonzero = 0;
+  for (std::size_t n = 0; n < want.pixels(); ++n) {
+    EXPECT_EQ(got.data()[n] == 0.0f, want.data()[n] == 0.0f)
+        << context << ", pixel " << n;
+    EXPECT_LE(std::abs(static_cast<double>(got.data()[n]) - want.data()[n]),
+              1e-5 * peak)
+        << context << ", pixel " << n;
+    if (got.data()[n] != 0.0f) ++nonzero;
+  }
+
+  Volume ones(g.nx, g.ny, g.nz, VolumeLayout::kXMajor, false);
+  ones.fill(1.0f);
+  const Image2D lengths = fp.ray_lengths(beta);
+  const Image2D projected_ones = fp.project(ones, beta);
+  EXPECT_EQ(std::memcmp(lengths.data(), projected_ones.data(),
+                        lengths.bytes()),
+            0)
+      << context << ": ray_lengths differs from project(ones)";
+  return nonzero;
+}
+
+TEST(ForwardProjector, MatchesOracleOverRandomizedGeometries) {
+  std::mt19937 rng(20261016);
+  const auto pick = [&rng](std::size_t lo, std::size_t hi) {
+    return std::uniform_int_distribution<std::size_t>(lo, hi)(rng);
+  };
+  for (int trial = 0; trial < 5; ++trial) {
+    // Odd detector sizes put a pixel on the central row/column, whose rays
+    // run exactly parallel to a box face.
+    const std::size_t nu = pick(20, 36);
+    const std::size_t nv = pick(20, 36);
+    const std::size_t np = pick(4, 12);
+    const geo::CbctGeometry g = geo::make_standard_geometry(
+        {{nu, nv, np}, {pick(6, 18), pick(6, 18), pick(6, 18)}});
+    const Volume vol = random_positive_volume(g, rng);
+    for (const double step_fraction : {0.3, 0.5, 1.0}) {
+      for (const double beta : {0.0, kPi / 2, kPi, g.beta(pick(0, np - 1))}) {
+        const std::string context =
+            "trial " + std::to_string(trial) + ", " + std::to_string(nu) +
+            "x" + std::to_string(nv) + " det, " + std::to_string(g.nx) + "x" +
+            std::to_string(g.ny) + "x" + std::to_string(g.nz) +
+            " vol, step " + std::to_string(step_fraction) + ", beta " +
+            std::to_string(beta);
+        EXPECT_GT(expect_matches_oracle(g, vol, step_fraction, beta, context),
+                  0u)
+            << context;
+      }
+    }
+  }
+}
+
+TEST(ForwardProjector, DegenerateAxesMatchOracle) {
+  // A 1-voxel axis has no +1 neighbour (base 0, +1 stride 0) and a 2-voxel
+  // axis clamps every base to 0; both must stay in bounds (the suite runs
+  // under ASan) and agree with the oracle. With nz = 1 only rays in the
+  // z = 0 plane see the volume: the central row of an odd-height detector.
+  std::mt19937 rng(7);
+  for (const Problem& problem : {Problem{{33, 31, 8}, {7, 5, 1}},
+                                  Problem{{16, 16, 8}, {2, 2, 2}}}) {
+    const geo::CbctGeometry g = geo::make_standard_geometry(problem);
+    const Volume vol = random_positive_volume(g, rng);
+    for (const double step_fraction : {0.3, 0.5, 1.0}) {
+      for (const double beta : {0.0, kPi / 2, kPi, 0.7}) {
+        const std::string context =
+            std::to_string(g.nx) + "x" + std::to_string(g.ny) + "x" +
+            std::to_string(g.nz) + " vol, step " +
+            std::to_string(step_fraction) + ", beta " + std::to_string(beta);
+        EXPECT_GT(expect_matches_oracle(g, vol, step_fraction, beta, context),
+                  0u)
+            << context;
+      }
     }
   }
 }

@@ -19,8 +19,9 @@
 #    move/copy boilerplate, destructors and `= default/delete` lines are
 #    exempt).
 # 3. Stale names: identifiers of deleted FDK execution paths, option knobs,
-#    minimpi collectives, the framed row-reduce and the runtime's device
-#    ledger must not reappear in src/, docs/ or README.md.
+#    minimpi collectives, the framed row-reduce, the runtime's device ledger
+#    and the projector's per-sample sampler (now the test oracle's) must not
+#    reappear in src/, docs/ or README.md.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -97,7 +98,7 @@ done
 stale='BlockingFdkWorkload|IfdkStats|ReduceFanIn|ReduceAlgo|use_ring_allgather'
 stale+='|fuse_filter_gather|reduce_fan_in|(^|[^i])allgather_ring\(|reduce_tree'
 stale+='|compress_wire|WireCodec|make_wire_codec|WireStats|wire_ratio'
-stale+='|wire_compression_ratio|device_model'
+stale+='|wire_compression_ratio|device_model|ForwardProjector::sample'
 if grep -rnE "$stale" src docs README.md; then
   echo "STALE NAME: the lines above name a deleted execution path or knob"
   fail=1
