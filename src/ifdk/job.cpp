@@ -1,5 +1,7 @@
 #include "ifdk/job.h"
 
+#include <cmath>
+
 #include "common/error.h"
 
 namespace ifdk {
@@ -24,6 +26,11 @@ void JobSpec::validate(int volume_index) const {
   if (compress_store && (store_bits < 8 || store_bits > 16)) {
     throw ConfigError(prefix + "store_bits (" + std::to_string(store_bits) +
                       ") must be 8..16 when compress_store is set");
+  }
+  // NaN compares unordered with every deadline, which would break the
+  // scheduler's strict weak ordering.
+  if (deadline_s.has_value() && std::isnan(*deadline_s)) {
+    throw ConfigError(prefix + "deadline_s must not be NaN");
   }
   if (workload == WorkloadKind::kIterative) {
     iterative.validate(volume_index);

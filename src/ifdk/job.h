@@ -75,11 +75,11 @@ struct JobSpec {
   /// Validates the request shape: both prefixes must be non-empty, a
   /// per-job geometry, when set, must be self-consistent
   /// (geo::CbctGeometry::validate), a compressed store's quantization depth
-  /// must be 8..16 bits, and an iterative job's solver
-  /// parameters must pass IterParams::validate. Throws ConfigError naming
-  /// the offending field; when `volume_index >= 0` the message is prefixed
-  /// with the offending volume ("volume 2: ..."), matching the plan
-  /// layer's convention. Called by run_streaming per volume and by
+  /// must be 8..16 bits, a deadline must not be NaN, and an iterative job's
+  /// solver parameters must pass IterParams::validate. Throws ConfigError
+  /// naming the offending field; when `volume_index >= 0` the message is
+  /// prefixed with the offending volume ("volume 2: ..."), matching the
+  /// plan layer's convention. Called by run_streaming per volume and by
   /// service::ReconService::submit before admission.
   void validate(int volume_index = -1) const;
 };

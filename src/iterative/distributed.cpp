@@ -19,8 +19,8 @@ namespace ifdk::iterative {
 
 namespace {
 
-/// Matches the single-node solvers' normalization floor (iterative.cpp) —
-/// the parity contract requires the identical constant.
+/// Normalization floor: the smallest row norm (A*1), column norm (B*1) or
+/// MLEM forward value a division may see.
 constexpr float kEps = 1e-6f;
 
 /// Per-rank results the workload owns (the generic wall/total stats ride
@@ -79,9 +79,7 @@ class IterativeWorkload final : public engine::Workload {
       }
     }
 
-    projector::ForwardOptions fopts;
-    fopts.step_fraction = params.step_fraction;
-    projector::ForwardProjector fp(g, fopts);
+    const projector::ForwardProjector fp(g, params.step_fraction);
 
     // ---- Volume all-reduce: segmented tree ireduce to rank 0 + bcast ------
     // At P = 1 the root fold is a copy and the bcast a no-op, so the summed
@@ -105,7 +103,7 @@ class IterativeWorkload final : public engine::Workload {
     };
 
     // Views of subset `sub` this rank owns, in ascending projection order —
-    // on one rank exactly the single-node sweep order s = sub, sub+subsets…
+    // on one rank exactly the serial sweep order s = sub, sub+subsets…
     auto owned_in_subset = [&](int sub) {
       std::vector<std::size_t> views;
       for (std::size_t idx = 0; idx < shard.size(); ++idx) {

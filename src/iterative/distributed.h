@@ -1,5 +1,8 @@
-// Distributed iterative reconstruction (SART / OS-SART / MLEM) on the
-// execution engine — the second workload of the engine layer, next to FDK.
+// Iterative reconstruction (SART / OS-SART / MLEM) on the execution engine
+// — the second workload of the engine layer, next to FDK, and the only
+// implementation of the Section 6.2 solver family. ART is its OS-SART case
+// with one view per subset (subsets = Np); a single-node solve is a
+// one-rank world.
 //
 // Decomposition: views are sharded across ranks by the SAME column/row
 // projection assignment the FDK plan uses (DecompositionPlan::
@@ -12,13 +15,13 @@
 // construction — every rank compares the identical reduced value.
 //
 // Parity contract (tests/test_distributed_iterative.cpp): on one rank the
-// owned-view order and every update expression match the single-node
-// solvers in iterative.h exactly, so P = 1 results are BITWISE identical to
-// sart()/mlem(). On P > 1 ranks the all-reduce folds rank partials in a
+// owned-view order and every update expression match the serial textbook
+// solvers of tests/iterative_oracle.h exactly, so P = 1 results are BITWISE
+// identical to them. On P > 1 ranks the all-reduce folds rank partials in a
 // fixed deterministic order that differs from the sequential view order, so
-// results are deterministic but only tolerance-equal to single node. The B
-// operator is the solvers' unweighted back-projection (not the FDK-weighted
-// Algorithm-4 kernel) precisely so this contract is checkable.
+// results are deterministic but only tolerance-equal to the serial ones.
+// The B operator is the unweighted back-projection of iterative.h (not the
+// FDK-weighted Algorithm-4 kernel) precisely so this contract is checkable.
 #pragma once
 
 #include <string>

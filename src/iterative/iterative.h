@@ -1,72 +1,31 @@
-// Iterative reconstruction on top of the forward/back-projection operators.
+// The B operator of the iterative solvers.
 //
 // Paper Section 6.2: "The proposed back-projection algorithm and CUDA
 // implementation can be applied in a number of iterative solvers (i.e. ART,
 // MLEM, MBIR), which are popular methodologies in medical imaging for low
-// dose image reconstruction." This module provides those solvers:
-//
-//   * SART  (Andersen & Kak 1984)    — relaxed, view-by-view updates,
-//   * OS-SART                         — ordered subsets of views,
-//   * MLEM  (Shepp & Vardi 1982)      — multiplicative EM for emission-style
-//                                       data (requires non-negative input).
+// dose image reconstruction." The solvers themselves (SART, OS-SART, MLEM)
+// live in one place, iterative::run_iterative (distributed.h); ART is its
+// OS-SART case with one view per subset.
 //
 // The forward operator A is the ray-driven projector (src/projector); the
-// transpose-like operator B is an *unweighted* voxel-driven back-projection
-// (bilinear interpolation at the projected detector position, no FDK 1/z^2
-// weight — iterative methods normalize explicitly instead). Both row and
-// column normalizations are computed numerically from the operators
-// themselves (A*1 and B*1), so the pair need not be an exact adjoint.
+// transpose-like operator B below is an *unweighted* voxel-driven
+// back-projection (bilinear interpolation at the projected detector
+// position, no FDK 1/z^2 weight — iterative methods normalize explicitly
+// instead). Both row and column normalizations are computed numerically
+// from the operators themselves (A*1 and B*1), so the pair need not be an
+// exact adjoint.
 #pragma once
 
-#include <cstddef>
-#include <functional>
-#include <span>
-#include <vector>
-
 #include "common/image.h"
-#include "common/thread_pool.h"
 #include "common/volume.h"
 #include "geometry/cbct.h"
 
 namespace ifdk::iterative {
 
-struct IterOptions {
-  int iterations = 10;
-  /// SART relaxation factor in (0, 2).
-  double lambda = 0.9;
-  /// Number of ordered subsets (1 = classic SART; >1 = OS-SART).
-  int subsets = 1;
-  /// Ray-marching step as a fraction of the voxel pitch.
-  double step_fraction = 0.5;
-  ThreadPool* pool = nullptr;
-  /// Called after every full iteration with (iteration, current volume).
-  std::function<void(int, const Volume&)> on_iteration;
-};
-
 /// Unweighted voxel-driven back-projection of a single view into `volume`
-/// (accumulates). Exposed because it is the B operator of the solvers and
-/// independently unit-tested.
+/// (accumulates), serially over the volume's slices. Exposed because it is
+/// the B operator of the solvers and independently unit-tested.
 void backproject_unweighted(const geo::CbctGeometry& geometry,
-                            const Image2D& view, double beta, Volume& volume,
-                            ThreadPool* pool = nullptr);
-
-/// SART / OS-SART reconstruction from `projections` (one per gantry angle).
-Volume sart(const geo::CbctGeometry& geometry,
-            std::span<const Image2D> projections, const IterOptions& options);
-
-/// ART (Gordon/Bender/Herman 1970): the fully sequential limit of OS-SART
-/// with one view per subset — the first of the §6.2 solver family.
-Volume art(const geo::CbctGeometry& geometry,
-           std::span<const Image2D> projections, IterOptions options);
-
-/// MLEM reconstruction; projections must be non-negative.
-Volume mlem(const geo::CbctGeometry& geometry,
-            std::span<const Image2D> projections, const IterOptions& options);
-
-/// Root-mean-square projection-space residual |A x - p| / sqrt(N), a
-/// convergence diagnostic used by tests and examples.
-double residual_rmse(const geo::CbctGeometry& geometry, const Volume& volume,
-                     std::span<const Image2D> projections,
-                     double step_fraction = 0.5, ThreadPool* pool = nullptr);
+                            const Image2D& view, double beta, Volume& volume);
 
 }  // namespace ifdk::iterative

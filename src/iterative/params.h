@@ -1,8 +1,8 @@
 // Wire-level iterative reconstruction parameters.
 //
-// IterParams is the *request* vocabulary for iterative jobs: the subset of
-// IterOptions (iterative.h) that travels inside a JobSpec through the
-// service front door and the streaming plan layer. It is header-only so
+// IterParams is the *request* vocabulary for iterative jobs: the solver
+// parameters run_iterative (distributed.h) reads, carried inside a JobSpec
+// through the service front door and the plan layer. It is header-only so
 // ifdk/job.h can embed it without a link edge from the framework layer to
 // the iterative layer (which sits ABOVE ifdk in the build graph — the
 // distributed solver consumes the plan layer).
@@ -14,9 +14,10 @@
 
 namespace ifdk::iterative {
 
-/// Which solver family a distributed iterative job runs. The arithmetic of
-/// each matches the single-node solvers in iterative.h exactly (the parity
-/// contract tests/test_distributed_iterative.cpp pins).
+/// Which solver family an iterative job runs. On one rank the arithmetic of
+/// each matches the serial reference in tests/iterative_oracle.h exactly
+/// (the parity contract tests/test_distributed_iterative.cpp pins). ART is
+/// kOsSart with one view per subset.
 enum class Algorithm {
   kSart,    ///< relaxed SART: one full-view sweep per iteration
   kOsSart,  ///< ordered-subsets SART: `subsets` sweeps per iteration
@@ -80,7 +81,8 @@ struct IterParams {
                         std::to_string(step_fraction) +
                         ") must lie in (0, 1]");
     }
-    if (stop_rmse < 0) {
+    // Written as !(>= 0) so NaN, which would silently never stop, fails too.
+    if (!(stop_rmse >= 0)) {
       throw ConfigError(prefix + "iterative stop_rmse (" +
                         std::to_string(stop_rmse) + ") must be >= 0");
     }

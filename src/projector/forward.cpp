@@ -148,12 +148,11 @@ class ViewRays {
 /// Renders one view: pixel (u, v) gets ray_value(ray) when its ray has a
 /// sample on the index box and stays 0 otherwise.
 template <class RayValue>
-Image2D render(const geo::CbctGeometry& g, const ForwardOptions& options,
-               double beta, const RayValue& ray_value) {
+Image2D render(const geo::CbctGeometry& g, double step_fraction, double beta,
+               const RayValue& ray_value) {
   Image2D img(g.nu, g.nv, /*zero_fill=*/true);
-  const ViewRays view(g, options.step_fraction * std::min({g.dx, g.dy, g.dz}),
-                      beta);
-  auto row_task = [&](std::size_t v) {
+  const ViewRays view(g, step_fraction * std::min({g.dx, g.dy, g.dz}), beta);
+  for (std::size_t v = 0; v < g.nv; ++v) {
     float* row = img.row(v);
     RaySpan ray;
     for (std::size_t u = 0; u < g.nu; ++u) {
@@ -161,11 +160,6 @@ Image2D render(const geo::CbctGeometry& g, const ForwardOptions& options,
         row[u] = static_cast<float>(ray_value(ray) * view.step());
       }
     }
-  };
-  if (options.pool != nullptr) {
-    options.pool->parallel_for(0, g.nv, row_task);
-  } else {
-    for (std::size_t v = 0; v < g.nv; ++v) row_task(v);
   }
   return img;
 }
@@ -173,10 +167,10 @@ Image2D render(const geo::CbctGeometry& g, const ForwardOptions& options,
 }  // namespace
 
 ForwardProjector::ForwardProjector(const geo::CbctGeometry& geometry,
-                                   ForwardOptions options)
-    : geometry_(geometry), options_(options) {
+                                   double step_fraction)
+    : geometry_(geometry), step_fraction_(step_fraction) {
   geometry_.validate();
-  IFDK_REQUIRE(options_.step_fraction > 0 && options_.step_fraction <= 1.0,
+  IFDK_REQUIRE(step_fraction_ > 0 && step_fraction_ <= 1.0,
                "step_fraction must be in (0, 1]");
 }
 
@@ -201,7 +195,7 @@ Image2D ForwardProjector::project(const Volume& volume, double beta) const {
   const std::ptrdiff_t ok = nz > 1 ? sk : 0;
   const float* data = volume.data();
 
-  return render(geometry_, options_, beta, [=](const RaySpan& ray) {
+  return render(geometry_, step_fraction_, beta, [=](const RaySpan& ray) {
     // m counts in double: integers are exact, so index(axis, m) is the same
     // expression, bit for bit, that trace() clipped with.
     double acc = 0.0;
@@ -232,7 +226,7 @@ Image2D ForwardProjector::project(const Volume& volume, double beta) const {
 }
 
 Image2D ForwardProjector::ray_lengths(double beta) const {
-  return render(geometry_, options_, beta, [](const RaySpan& ray) {
+  return render(geometry_, step_fraction_, beta, [](const RaySpan& ray) {
     return static_cast<double>(ray.last - ray.first + 1);
   });
 }

@@ -1,7 +1,9 @@
 // Ray-driven forward projection through a voxel volume: the forward operator
-// A of the iterative solvers (Section 6.2's SART/OS-SART/MLEM, single-node
-// and distributed), paired with the unweighted back-projection A^T. Tests
-// also cross-check the analytic ellipsoid projector against it.
+// A of the iterative solvers (Section 6.2's SART/OS-SART/MLEM, run by
+// iterative::run_iterative), paired with the unweighted back-projection
+// A^T. Tests also cross-check the analytic ellipsoid projector against it.
+// Each call renders one view serially; the distributed solver parallelizes
+// across views (one shard per rank), not within one.
 //
 // Each source->pixel ray is sampled with trilinear interpolation at
 // t0 + (m + 1/2) * step, m = 0, 1, ..., where t0 is the ray's entry into the
@@ -31,7 +33,6 @@
 #include <cstddef>
 
 #include "common/image.h"
-#include "common/thread_pool.h"
 #include "common/volume.h"
 #include "geometry/cbct.h"
 
@@ -43,18 +44,13 @@ namespace ifdk::projector {
 /// tolerance keeps rounding noise from deciding those ties.
 inline constexpr double kFaceTolerance = 1e-9;
 
-struct ForwardOptions {
-  /// Step length as a fraction of the smallest voxel pitch.
-  double step_fraction = 0.5;
-  ThreadPool* pool = nullptr;
-};
-
 class ForwardProjector {
  public:
-  /// Captures the geometry and sampling options; cheap (no precomputation),
-  /// so a projector can be constructed per view or held for a whole solve.
-  ForwardProjector(const geo::CbctGeometry& geometry,
-                   ForwardOptions options = {});
+  /// Captures the geometry and the ray-marching step, as a fraction in
+  /// (0, 1] of the smallest voxel pitch; cheap (no precomputation), so a
+  /// projector can be constructed per view or held for a whole solve.
+  explicit ForwardProjector(const geo::CbctGeometry& geometry,
+                            double step_fraction = 0.5);
 
   /// Renders the cone-beam projection of `volume` at gantry angle beta.
   /// The volume must be kXMajor.
@@ -67,7 +63,7 @@ class ForwardProjector {
 
  private:
   geo::CbctGeometry geometry_;
-  ForwardOptions options_;
+  double step_fraction_;
 };
 
 }  // namespace ifdk::projector

@@ -1,10 +1,11 @@
 // Distributed iterative solver tests: the parity contract of
-// iterative::run_iterative against the single-node solvers — BITWISE on one
-// rank (where the owned-view order and every fold pins the sequential
-// arithmetic exactly) and tight-tolerance on multi-rank grids (where the
-// all-reduce folds rank partials in a different deterministic order) — plus
-// monotone residual decrease on a noiseless phantom, rerun determinism,
-// rank-consistent early stop, and workload-selector validation.
+// iterative::run_iterative against the serial reference in
+// tests/iterative_oracle.h — BITWISE on one rank (where the owned-view order
+// and every fold pins the sequential arithmetic exactly) and tight-tolerance
+// on multi-rank grids (where the all-reduce folds rank partials in a
+// different deterministic order) — plus monotone residual decrease on a
+// noiseless phantom, rerun determinism, rank-consistent early stop, and
+// workload-selector validation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,7 +16,7 @@
 #include "common/math_util.h"
 #include "ifdk/framework.h"
 #include "iterative/distributed.h"
-#include "iterative/iterative.h"
+#include "iterative_oracle.h"
 #include "phantom/phantom.h"
 
 namespace ifdk::iterative {
@@ -61,23 +62,13 @@ Volume run_distributed_iter(const Scene& s, const IfdkOptions& opts,
   return load_volume(fs, spec.output_prefix, s.g.vol_dims());
 }
 
-/// Single-node reference with the identical solver parameters.
-IterOptions reference_options(const IterParams& params) {
-  IterOptions opts;
-  opts.iterations = params.iterations;
-  opts.lambda = params.lambda;
-  opts.subsets = params.subsets;
-  opts.step_fraction = params.step_fraction;
-  return opts;
-}
-
 // ---- Single-rank parity: BITWISE --------------------------------------------
 //
 // On P = 1 the distributed workload owns all views in ascending order and
 // every fold degenerates to a local copy, so each update expression matches
-// the single-node solver float for float. These tests assert exact equality.
+// the serial oracle float for float. These tests assert exact equality.
 
-TEST(DistributedSart, SingleRankBitwiseMatchesSingleNode) {
+TEST(DistributedSart, SingleRankBitwiseMatchesOracle) {
   const Scene s = make_scene();
   for (const int subsets : {1, 2}) {  // 1 = SART, 2 = OS-SART
     IterParams params;
@@ -87,7 +78,7 @@ TEST(DistributedSart, SingleRankBitwiseMatchesSingleNode) {
     const Volume dist = run_distributed_iter(
         s, grid_options(1, 1),
         make_iter_job(params, "sart_p1_s" + std::to_string(subsets)));
-    const Volume ref = sart(s.g, s.projections, reference_options(params));
+    const Volume ref = sart_oracle(s.g, s.projections, params);
     for (std::size_t n = 0; n < ref.voxels(); ++n) {
       ASSERT_EQ(dist.data()[n], ref.data()[n])
           << subsets << " subset(s), voxel " << n;
@@ -95,7 +86,7 @@ TEST(DistributedSart, SingleRankBitwiseMatchesSingleNode) {
   }
 }
 
-TEST(DistributedMlem, SingleRankBitwiseMatchesSingleNode) {
+TEST(DistributedMlem, SingleRankBitwiseMatchesOracle) {
   const Scene s = make_scene();
   IterParams params;
   params.algorithm = Algorithm::kMlem;
@@ -104,7 +95,7 @@ TEST(DistributedMlem, SingleRankBitwiseMatchesSingleNode) {
   const Volume dist = run_distributed_iter(s, grid_options(1, 1),
                                            make_iter_job(params, "mlem_p1"),
                                            &stats);
-  const Volume ref = mlem(s.g, s.projections, reference_options(params));
+  const Volume ref = mlem_oracle(s.g, s.projections, params);
   for (std::size_t n = 0; n < ref.voxels(); ++n) {
     ASSERT_EQ(dist.data()[n], ref.data()[n]) << "voxel " << n;
   }
@@ -116,13 +107,13 @@ TEST(DistributedMlem, SingleRankBitwiseMatchesSingleNode) {
 //
 // On P > 1 the volume all-reduce folds rank partials in tree order, not the
 // sequential view order, so float addition reassociates: results are
-// deterministic but only tolerance-equal to the single-node solver.
+// deterministic but only tolerance-equal to the serial oracle.
 
-TEST(DistributedSart, MultiRankMatchesSingleNodeToTolerance) {
+TEST(DistributedSart, MultiRankMatchesOracleToTolerance) {
   const Scene s = make_scene();
   IterParams params;
   params.iterations = 3;
-  const Volume ref = sart(s.g, s.projections, reference_options(params));
+  const Volume ref = sart_oracle(s.g, s.projections, params);
 
   struct Grid {
     int ranks;

@@ -109,12 +109,10 @@ TEST(ForwardProjector, LinearInVolume) {
 TEST(ForwardProjector, FinerStepsConverge) {
   const auto g = geo::make_standard_geometry({{32, 32, 4}, {24, 24, 24}});
   const Volume vol = phantom::voxelize(phantom::shepp_logan(), g);
-  ForwardOptions coarse;
-  coarse.step_fraction = 1.0;
-  ForwardOptions fine;
-  fine.step_fraction = 0.1;
-  const Image2D pc = ForwardProjector(g, coarse).project(vol, 0.0);
-  const Image2D pf = ForwardProjector(g, fine).project(vol, 0.0);
+  const Image2D pc =
+      ForwardProjector(g, /*step_fraction=*/1.0).project(vol, 0.0);
+  const Image2D pf =
+      ForwardProjector(g, /*step_fraction=*/0.1).project(vol, 0.0);
   // Both approximate the same integral: their difference is bounded by the
   // coarse quadrature error.
   const double err = rmse(pc.data(), pf.data(), pc.pixels());
@@ -228,9 +226,7 @@ Volume random_positive_volume(const geo::CbctGeometry& g, std::mt19937& rng) {
 std::size_t expect_matches_oracle(const geo::CbctGeometry& g,
                                   const Volume& vol, double step_fraction,
                                   double beta, const std::string& context) {
-  ForwardOptions opts;
-  opts.step_fraction = step_fraction;
-  const ForwardProjector fp(g, opts);
+  const ForwardProjector fp(g, step_fraction);
   const Image2D got = fp.project(vol, beta);
   const Image2D want = forward_project_oracle(g, vol, beta, step_fraction);
   double peak = 0;

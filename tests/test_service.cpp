@@ -12,7 +12,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -623,11 +625,39 @@ TEST(ValidationConsolidation, JobSpecErrorsNameTheFieldAndVolume) {
         << what;
   }
 
+  // NaN compares unordered, so it must not reach the scheduler's sort (a
+  // NaN deadline) or the early-stop compare (a NaN stop_rmse).
+  JobSpec nan_deadline{"in/", "out/slice_"};
+  nan_deadline.deadline_s = std::numeric_limits<double>::quiet_NaN();
+  JobSpec nan_stop{"in/", "out/slice_"};
+  nan_stop.workload = WorkloadKind::kIterative;
+  nan_stop.iterative.stop_rmse = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<JobSpec, std::string>> nan_specs = {
+      {nan_deadline, "deadline_s"}, {nan_stop, "stop_rmse"}};
+  for (const auto& [spec, field] : nan_specs) {
+    try {
+      spec.validate();
+      ADD_FAILURE() << "expected ConfigError for a NaN " << field;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+
   // The service checks the same contract before admission.
   ServiceOptions sopts;
   sopts.ifdk = opts;
   ReconService svc(g, fs, sopts);
   EXPECT_THROW(svc.submit(JobSpec{"", "out/slice_"}), ConfigError);
+  for (const auto& [spec, field] : nan_specs) {
+    try {
+      svc.submit(spec);
+      ADD_FAILURE() << "expected ConfigError at submit for a NaN " << field;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---- StreamingStats::grid single-source-of-truth ---------------------------

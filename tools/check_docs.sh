@@ -99,6 +99,7 @@ stale='BlockingFdkWorkload|IfdkStats|ReduceFanIn|ReduceAlgo|use_ring_allgather'
 stale+='|fuse_filter_gather|reduce_fan_in|(^|[^i])allgather_ring\(|reduce_tree'
 stale+='|compress_wire|WireCodec|make_wire_codec|WireStats|wire_ratio'
 stale+='|wire_compression_ratio|device_model|ForwardProjector::sample'
+stale+='|IterOptions|ForwardOptions|on_iteration|iterative::art'
 if grep -rnE "$stale" src docs README.md; then
   echo "STALE NAME: the lines above name a deleted execution path or knob"
   fail=1
