@@ -81,6 +81,11 @@ Backprojector::Backprojector(const geo::CbctGeometry& geometry,
     IFDK_REQUIRE(!config_.slab_mode(),
                  "slab-pair mode requires the proposed (kZMajor) kernel");
   }
+  IFDK_REQUIRE(config_.distance_weight ||
+                   (config_.reuse_uw &&
+                    config_.layout == VolumeLayout::kZMajor),
+               "distance_weight = false requires reuse_uw and the kZMajor "
+               "layout (the weight is a hoisted per-column factor)");
   if (config_.slab_mode()) {
     IFDK_REQUIRE(config_.symmetry,
                  "slab-pair mode is defined by the Theorem-1 symmetry");
@@ -299,7 +304,7 @@ void Backprojector::run_proposed(Volume& volume,
               const float f = 1.0f / z;
               u_s[s] = x * f;
               f_s[s] = f;
-              w_s[s] = f * f;
+              w_s[s] = config_.distance_weight ? f * f : 1.0f;
             }
             column.u_s = u_s.data();
             column.f_s = f_s.data();

@@ -61,6 +61,12 @@ struct BpConfig {
   bool reuse_uw = true;
   /// Algorithm 4 line 3: transpose Q so the V axis is contiguous.
   bool transpose_projections = true;
+  /// FDK's distance weight Wdis = 1/z^2 (Eq. 5). When false every sample is
+  /// added with weight 1: the plain B operator of the iterative solvers,
+  /// which normalize explicitly (B*1) instead. Only the hoisted per-column
+  /// factor changes (1.0f * x == x exactly), so every SIMD backend stays
+  /// bitwise equal to scalar. Requires reuse_uw and kZMajor.
+  bool distance_weight = true;
   /// Volume layout written by the kernel.
   VolumeLayout layout = VolumeLayout::kZMajor;
   /// Projections back-projected per pass (the paper and RTK use 32; mirrors

@@ -97,13 +97,16 @@ struct SimConfig {
   double store_compression_ratio = 1.0;
 
   /// Iterative workload rates (iterative::run_iterative): the forward
-  /// projector's ray samples per second and the unweighted back-projector's
-  /// voxel updates per second, per rank. These are the SCALAR ray-driven /
-  /// bilinear kernels of src/projector and src/iterative — deliberately not
-  /// the Table-4 Algorithm-4 model, which prices the FDK-weighted kernel
-  /// the iterative solvers do not use.
+  /// projector's ray samples per second and the B operator's voxel updates
+  /// per second, per rank. The projector is the scalar ray marcher of
+  /// src/projector. B is the unweighted Algorithm-4 kernel
+  /// (bp::Backprojector, distance_weight = false) on the resolved SIMD
+  /// column backend, one view per call on one thread per rank; its rate is
+  /// measured from run_iterative's `backproject` stage (EXPERIMENTS.md,
+  /// "Iterative B operator on the Algorithm-4 kernel"), not taken from the
+  /// Table-4 GPU model.
   double iter_fp_samples_per_s = 1.5e8;
-  double iter_bp_updates_per_s = 4.0e8;
+  double iter_bp_updates_per_s = 2.5e8;
 
   /// Paper §4.1.4 future work: "overlapping the tasks after the
   /// back-projection (the device to host copy, reduction, and storing to

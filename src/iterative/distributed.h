@@ -7,8 +7,9 @@
 // Decomposition: views are sharded across ranks by the SAME column/row
 // projection assignment the FDK plan uses (DecompositionPlan::
 // projection_shard), while the volume estimate is replicated on every rank.
-// Each sweep, a rank forward-projects its owned views, accumulates the
-// back-projected correction locally in ascending view order, and the
+// Each sweep, a rank forward-projects its owned views, back-projects each
+// correction as it is formed (one view per kernel call) into a local
+// kZMajor volume in ascending view order, and the
 // partial corrections are summed with the segmented tree ireduce + bcast
 // (one volume all-reduce per subset). The residual norm is all-reduced once
 // per iteration, so the early-stop decision is rank-consistent by
@@ -20,8 +21,13 @@
 // identical to them. On P > 1 ranks the all-reduce folds rank partials in a
 // fixed deterministic order that differs from the sequential view order, so
 // results are deterministic but only tolerance-equal to the serial ones.
-// The B operator is the unweighted back-projection of iterative.h (not the
-// FDK-weighted Algorithm-4 kernel) precisely so this contract is checkable.
+// The B operator is FDK's Algorithm-4 kernel run unweighted (iterative.h)
+// on the resolved SIMD column backend; the oracle runs the same kernel on
+// the scalar backend, which every vector backend matches bitwise, so the
+// contract holds on any CPU. B's volumes (B*1 and the per-subset
+// corrections) are kZMajor, the kernel's layout; the estimate is kXMajor,
+// the projector's and the store's, and the SART/MLEM updates read the
+// former and write the latter voxel by voxel.
 #pragma once
 
 #include <string>

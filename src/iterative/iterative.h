@@ -8,12 +8,13 @@
 // OS-SART case with one view per subset.
 //
 // The forward operator A is the ray-driven projector (src/projector); the
-// transpose-like operator B below is an *unweighted* voxel-driven
-// back-projection (bilinear interpolation at the projected detector
-// position, no FDK 1/z^2 weight — iterative methods normalize explicitly
-// instead). Both row and column normalizations are computed numerically
-// from the operators themselves (A*1 and B*1), so the pair need not be an
-// exact adjoint.
+// transpose-like operator B below is the FDK back-projection kernel of
+// Algorithm 4 (bp::Backprojector: Theorem-1 symmetry, hoisted u/Wdis, the
+// resolved SIMD column backend) run *unweighted* — BpConfig::
+// distance_weight = false drops the FDK 1/z^2 factor, because iterative
+// methods normalize explicitly instead. Both row and column normalizations
+// are computed numerically from the operators themselves (A*1 and B*1), so
+// the pair need not be an exact adjoint.
 #pragma once
 
 #include "common/image.h"
@@ -22,9 +23,10 @@
 
 namespace ifdk::iterative {
 
-/// Unweighted voxel-driven back-projection of a single view into `volume`
-/// (accumulates), serially over the volume's slices. Exposed because it is
-/// the B operator of the solvers and independently unit-tested.
+/// Unweighted back-projection of a single view into `volume` (accumulates)
+/// on one thread. A kZMajor volume — the layout the solvers keep their B
+/// volumes in — is accumulated in place; a kXMajor volume is reshaped to
+/// kZMajor and back around the kernel.
 void backproject_unweighted(const geo::CbctGeometry& geometry,
                             const Image2D& view, double beta, Volume& volume);
 

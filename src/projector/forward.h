@@ -1,9 +1,12 @@
 // Ray-driven forward projection through a voxel volume: the forward operator
 // A of the iterative solvers (Section 6.2's SART/OS-SART/MLEM, run by
-// iterative::run_iterative), paired with the unweighted back-projection
-// A^T. Tests also cross-check the analytic ellipsoid projector against it.
-// Each call renders one view serially; the distributed solver parallelizes
-// across views (one shard per rank), not within one.
+// iterative::run_iterative), paired with the B operator of iterative.h —
+// FDK's Algorithm-4 back-projection kernel run without its distance
+// weight. Tests also cross-check the analytic ellipsoid projector against
+// it. Each call renders one view serially; the distributed solver
+// parallelizes across views (one shard per rank), not within one. The
+// solver's estimate, the volume this marches, stays kXMajor: with four
+// ranks marching concurrently a kZMajor estimate measured 2-3x slower.
 //
 // Each source->pixel ray is sampled with trilinear interpolation at
 // t0 + (m + 1/2) * step, m = 0, 1, ..., where t0 is the ray's entry into the

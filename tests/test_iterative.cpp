@@ -1,10 +1,17 @@
-// Iterative solver tests: the unweighted back-projector, and SART/OS-SART/
-// MLEM convergence on the Shepp-Logan phantom (monotone residual decrease,
-// MLEM positivity, input validation) through run_iterative on one rank.
+// Iterative solver tests: the B operator (the unweighted Algorithm-4
+// kernel, against the serial loop the solvers used before it), and
+// SART/OS-SART/MLEM convergence on the Shepp-Logan phantom (monotone
+// residual decrease, MLEM positivity, input validation) through
+// run_iterative on one rank.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -12,6 +19,7 @@
 #include "ifdk/framework.h"
 #include "iterative/distributed.h"
 #include "iterative/iterative.h"
+#include "iterative_oracle.h"
 #include "phantom/phantom.h"
 
 namespace ifdk::iterative {
@@ -82,7 +90,7 @@ TEST(UnweightedBackprojection, SingleHotPixelSpreadsAlongRay) {
   const auto g = geo::make_standard_geometry({{32, 32, 4}, {16, 16, 16}});
   Image2D view(32, 32);
   view.at(15, 15) = 1.0f;  // near the detector center
-  Volume vol(16, 16, 16);
+  Volume vol(16, 16, 16, VolumeLayout::kZMajor);
   backproject_unweighted(g, view, 0.0, vol);
   // The center voxel column along the central ray receives weight; corners
   // see nothing.
@@ -99,9 +107,9 @@ TEST(UnweightedBackprojection, AccumulatesAcrossViews) {
   const auto g = geo::make_standard_geometry({{32, 32, 4}, {12, 12, 12}});
   Image2D ones(32, 32, false);
   ones.fill(1.0f);
-  Volume once(12, 12, 12);
+  Volume once(12, 12, 12, VolumeLayout::kZMajor);
   backproject_unweighted(g, ones, 0.0, once);
-  Volume twice(12, 12, 12);
+  Volume twice(12, 12, 12, VolumeLayout::kZMajor);
   backproject_unweighted(g, ones, 0.0, twice);
   backproject_unweighted(g, ones, 0.0, twice);
   for (std::size_t n = 0; n < once.voxels(); ++n) {
@@ -109,11 +117,105 @@ TEST(UnweightedBackprojection, AccumulatesAcrossViews) {
   }
 }
 
-TEST(UnweightedBackprojection, RejectsWrongLayout) {
-  const auto g = geo::make_standard_geometry({{32, 32, 4}, {12, 12, 12}});
-  Image2D view(32, 32);
-  Volume zmajor(12, 12, 12, VolumeLayout::kZMajor);
-  EXPECT_THROW(backproject_unweighted(g, view, 0.0, zmajor), ConfigError);
+/// The scene's views with one pixel of view `view` replaced by `value`.
+std::vector<Image2D> with_pixel(const Scene& s, std::size_t view,
+                                std::size_t u, std::size_t v, float value) {
+  std::vector<Image2D> out;
+  for (const auto& p : s.projections) {
+    Image2D copy(p.width(), p.height(), false);
+    std::copy(p.data(), p.data() + p.pixels(), copy.data());
+    out.push_back(std::move(copy));
+  }
+  out[view].at(u, v) = value;
+  return out;
+}
+
+/// Runs the solver on `projections` and returns the ConfigError's message
+/// ("" when nothing is thrown).
+std::string config_error(const Scene& s,
+                         std::span<const Image2D> projections,
+                         const IterParams& params) {
+  try {
+    solve(s.g, projections, params);
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Uniform values in [0, 1) on every pixel.
+Image2D random_view(const geo::CbctGeometry& g, std::mt19937& rng) {
+  std::uniform_real_distribution<float> value(0.0f, 1.0f);
+  Image2D view(g.nu, g.nv, /*zero_fill=*/false);
+  for (std::size_t n = 0; n < view.pixels(); ++n) view.data()[n] = value(rng);
+  return view;
+}
+
+TEST(UnweightedBackprojection, XMajorAndZMajorResultsAgreeBitwise) {
+  // A kXMajor volume is reshaped around the same kernel call, so both
+  // layouts hold the identical value at every (i, j, k) — including what
+  // was already accumulated.
+  const auto g = geo::make_standard_geometry({{40, 32, 6}, {12, 10, 9}});
+  std::mt19937 rng(7);
+  Volume xmajor(g.nx, g.ny, g.nz);
+  Volume zmajor(g.nx, g.ny, g.nz, VolumeLayout::kZMajor);
+  for (std::size_t s = 0; s < g.np; ++s) {
+    const Image2D view = random_view(g, rng);
+    backproject_unweighted(g, view, g.beta(s), xmajor);
+    backproject_unweighted(g, view, g.beta(s), zmajor);
+  }
+  const Volume reshaped = zmajor.reshaped(VolumeLayout::kXMajor);
+  EXPECT_EQ(std::memcmp(reshaped.data(), xmajor.data(), xmajor.bytes()), 0);
+}
+
+TEST(UnweightedBackprojection, OnesMatchSerialLoopBitwise) {
+  // B*1, the column norm every SART/MLEM division uses, does not move at
+  // all against the serial X-major loop the solvers ran before: every
+  // sample of an all-ones view interpolates to exactly 1.
+  for (const Problem problem :
+       {Problem{{32, 32, 8}, {16, 16, 16}},
+        Problem{{48, 40, 12}, {20, 18, 15}},
+        Problem{{64, 64, 16}, {24, 24, 24}},
+        Problem{{96, 96, 16}, {64, 64, 64}}}) {
+    const auto g = geo::make_standard_geometry(problem);
+    Image2D ones(g.nu, g.nv, /*zero_fill=*/false);
+    ones.fill(1.0f);
+    Volume kernel(g.nx, g.ny, g.nz, VolumeLayout::kZMajor);
+    Volume serial(g.nx, g.ny, g.nz);
+    for (std::size_t s = 0; s < g.np; ++s) {
+      backproject_unweighted(g, ones, g.beta(s), kernel);
+      serial_backproject_unweighted(g, ones, g.beta(s), serial);
+    }
+    const Volume got = kernel.reshaped(VolumeLayout::kXMajor);
+    EXPECT_EQ(std::memcmp(got.data(), serial.data(), serial.bytes()), 0)
+        << g.nx << "x" << g.ny << "x" << g.nz;
+  }
+}
+
+TEST(UnweightedBackprojection, RandomViewsMatchSerialLoopToTolerance) {
+  // The kernel forms u and v with a different association than the
+  // serial loop (hoisted per column, and v of the mirror voxel as
+  // (nv - 1) - v), so general views move by rounding only: within
+  // 5e-5 x peak over a full orbit.
+  const auto g = geo::make_standard_geometry({{96, 96, 16}, {64, 64, 64}});
+  std::mt19937 rng(11);
+  Volume kernel(g.nx, g.ny, g.nz, VolumeLayout::kZMajor);
+  Volume serial(g.nx, g.ny, g.nz);
+  for (std::size_t s = 0; s < g.np; ++s) {
+    const Image2D view = random_view(g, rng);
+    backproject_unweighted(g, view, g.beta(s), kernel);
+    serial_backproject_unweighted(g, view, g.beta(s), serial);
+  }
+  const Volume got = kernel.reshaped(VolumeLayout::kXMajor);
+  double peak = 0;
+  double max_diff = 0;
+  for (std::size_t n = 0; n < serial.voxels(); ++n) {
+    peak = std::max(peak, std::abs(static_cast<double>(serial.data()[n])));
+    max_diff = std::max(max_diff, std::abs(static_cast<double>(got.data()[n]) -
+                                           serial.data()[n]));
+  }
+  ASSERT_GT(peak, 0);
+  EXPECT_LE(max_diff, 5e-5 * peak) << "peak " << peak;
 }
 
 TEST(Sart, ConvergesToPhantom) {
@@ -197,16 +299,30 @@ TEST(Mlem, ConvergesAndStaysPositive) {
 
 TEST(Mlem, RejectsNegativeData) {
   const Scene s = make_scene(32, 8, 12);
-  std::vector<Image2D> bad;
-  for (const auto& p : s.projections) {
-    Image2D copy(p.width(), p.height(), false);
-    for (std::size_t n = 0; n < p.pixels(); ++n) copy.data()[n] = p.data()[n];
-    bad.push_back(std::move(copy));
-  }
-  bad[0].at(3, 3) = -1.0f;
   IterParams params;
   params.algorithm = Algorithm::kMlem;
-  EXPECT_THROW(solve(s.g, bad, params), ConfigError);
+  const std::string what =
+      config_error(s, with_pixel(s, 0, 3, 3, -1.0f), params);
+  EXPECT_NE(what.find("non-negative"), std::string::npos) << what;
+  EXPECT_NE(what.find("'in/000000' pixel 99 "), std::string::npos) << what;
+}
+
+TEST(Solvers, RejectNonFiniteProjections) {
+  // One NaN or Inf pixel would reach every voxel its rays touch; the load
+  // rejects it, naming the object and the pixel, for every solver family.
+  const Scene s = make_scene(32, 8, 12);
+  IterParams mlem;
+  mlem.algorithm = Algorithm::kMlem;
+  for (const IterParams& params : {IterParams{}, mlem}) {
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity()}) {
+      const std::string what =
+          config_error(s, with_pixel(s, 5, 3, 2, bad), params);
+      EXPECT_NE(what.find("'in/000005'"), std::string::npos) << what;
+      EXPECT_NE(what.find("pixel 67 "), std::string::npos) << what;  // 2*32+3
+      EXPECT_NE(what.find("not finite"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Solvers, ValidateOptions) {

@@ -3,7 +3,8 @@
 // in-line kernel operation for operation), and every vector backend —
 // avx2, avx512, neon — must match it BITWISE (memcmp) on every kernel
 // variant, every ablation, odd Nz, slab-pair mode, partial-batch/remainder
-// lanes, the pooled schedule, and the full Shepp-Logan FDK pipeline. Each
+// lanes, the pooled schedule, the unweighted mode the iterative solvers run
+// as their B operator, and the full Shepp-Logan FDK pipeline. Each
 // matrix test is parameterized over ifdk::simd::kConcreteBackends and skips
 // visibly when a backend is not compiled in or the CPU lacks it. Also
 // covers the shared dispatch semantics (auto selection, availability
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -338,6 +340,37 @@ TEST_P(BackendMatrix, BatchBoundariesPreserved) {
   }
 }
 
+TEST_P(BackendMatrix, UnweightedMatchesScalar) {
+  // distance_weight = false (the iterative solvers' B operator) on a full
+  // even volume, an odd-Nz one (center plane), and the remainder shapes of
+  // RemainderLanes. A single view per call, as the solvers make them.
+  struct Shape {
+    std::size_t nu, np, n, nz;
+  };
+  for (const Shape shape : {Shape{48, 12, 16, 16}, Shape{48, 12, 12, 15},
+                            Shape{32, 6, 8, 10}, Shape{32, 6, 8, 34},
+                            Shape{32, 6, 8, 35}}) {
+    const Scene s = make_scene(shape.nu, shape.np, shape.n, shape.nz);
+    BpConfig scalar;
+    scalar.distance_weight = false;
+    scalar.simd_backend = simd::Backend::kScalar;
+    BpConfig vec = scalar;
+    vec.simd_backend = backend();
+    const auto mats = geo::make_all_projection_matrices(s.g);
+    Volume a(s.g.nx, s.g.ny, s.g.nz, VolumeLayout::kZMajor);
+    Volume b(s.g.nx, s.g.ny, s.g.nz, VolumeLayout::kZMajor);
+    const Backprojector ka(s.g, scalar);
+    const Backprojector kb(s.g, vec);
+    for (std::size_t v = 0; v < mats.size(); ++v) {
+      ka.accumulate(a, std::span(&s.projections[v], 1),
+                    std::span(&mats[v], 1));
+      kb.accumulate(b, std::span(&s.projections[v], 1),
+                    std::span(&mats[v], 1));
+    }
+    EXPECT_TRUE(bitwise_equal(a, b)) << "nz " << shape.nz;
+  }
+}
+
 TEST_P(BackendMatrix, FullSheppLoganFdkMatchesScalar) {
   // End-to-end: filter + back-projection with BOTH layers forced to the
   // same backend must reproduce the all-scalar pipeline bitwise on a full
@@ -353,6 +386,30 @@ TEST_P(BackendMatrix, FullSheppLoganFdkMatchesScalar) {
       reconstruct_fdk(s.g, s.projections, scalar).volume;
   const Volume b = reconstruct_fdk(s.g, s.projections, vec).volume;
   EXPECT_TRUE(bitwise_equal(a, b));
+}
+
+TEST(BackendConfig, UnweightedRequiresHoistedZMajorKernel) {
+  // The weight is dropped in the per-column hoist, so the unweighted mode
+  // exists only where that hoist does: reuse_uw on the kZMajor kernel.
+  const auto g = geo::make_standard_geometry({{32, 32, 4}, {8, 8, 8}});
+  BpConfig no_hoist;
+  no_hoist.distance_weight = false;
+  no_hoist.reuse_uw = false;
+  BpConfig standard = config_for(KernelVariant::kRtk32);
+  standard.distance_weight = false;
+  for (const BpConfig& cfg : {no_hoist, standard}) {
+    try {
+      Backprojector bp(g, cfg);
+      ADD_FAILURE() << "accepted distance_weight = false";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("distance_weight"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  BpConfig ok;
+  ok.distance_weight = false;
+  EXPECT_NO_THROW(Backprojector(g, ok));
 }
 
 TEST(BackendEquivalence, PooledScalarIsBitwiseSerialScalar) {
