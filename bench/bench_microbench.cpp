@@ -38,13 +38,13 @@ void pfs_ior_sweep() {
 
 void pcie_sweep() {
   std::printf("\n--- PCIe bandwidthTest (device model) ---\n");
-  gpusim::Device dev;
+  const gpusim::DeviceSpec spec;
   TextTable t({"transfer", "modeled GB/s"});
-  std::vector<float> host((256ull << 20) / sizeof(float));
   for (std::uint64_t mb : {1ull, 16ull, 64ull, 256ull}) {
     const std::uint64_t bytes = mb << 20;
-    gpusim::DeviceBuffer buf = dev.allocate(bytes);
-    const double secs = dev.h2d(buf, host.data(), bytes);
+    const double secs = spec.pcie_latency_s +
+                        static_cast<double>(bytes) /
+                            spec.pcie_bandwidth_bytes_per_s;
     t.row()
         .add(std::to_string(mb) + " MiB H2D")
         .add(static_cast<double>(bytes) / secs / 1e9, 2);

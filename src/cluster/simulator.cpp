@@ -327,7 +327,8 @@ IterSimResult simulate_iterative(const DecompositionPlan& plan,
       views_per_sweep * samples_per_view / config.iter_fp_samples_per_s;
   const double t_bp_sweep =
       views_per_sweep * voxels / config.iter_bp_updates_per_s;
-  // Volume all-reduce per sweep (tree ireduce + bcast); free at one rank.
+  // Volume all-reduce per sweep: the runtime's reduce-scatter + allgather
+  // moves 2*V/P per rank; free at one rank.
   const double t_allreduce =
       plan.ranks() > 1 ? 2.0 * vol_bytes / (ranks * mb.th_reduce) : 0.0;
 

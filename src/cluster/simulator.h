@@ -208,7 +208,8 @@ struct IterSimResult {
 /// Replays the iterate-loop recurrence of iterative::run_iterative in
 /// virtual time: per iteration, each of `subsets` sweeps forward-projects
 /// and back-projects the rank's view share and all-reduces the replicated
-/// volume (reduce + bcast over MicroBench::th_reduce; free at one rank);
+/// volume (reduce-scatter + allgather, 2*V/P per rank over
+/// MicroBench::th_reduce; free at one rank);
 /// setup adds the shard load and the per-subset normalization all-reduces,
 /// and rank 0's serial slice store closes the job. The workload is
 /// compute-dominated by the scalar projector kernels, so the recurrence is

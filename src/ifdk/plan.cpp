@@ -128,28 +128,24 @@ std::uint64_t DecompositionPlan::reduce_segments() const {
   return (slab_floats() + reduce_segment_floats - 1) / reduce_segment_floats;
 }
 
-std::uint64_t DecompositionPlan::iter_reduce_segments() const {
-  return (volume_floats() + reduce_segment_floats - 1) /
-         reduce_segment_floats;
-}
-
 std::uint64_t DecompositionPlan::iter_iteration_tag_budget(
     int subsets) const {
-  return static_cast<std::uint64_t>(subsets) * iter_sweep_tag_budget() + 2;
+  return 2 * static_cast<std::uint64_t>(subsets) + 2;
 }
 
 std::uint64_t DecompositionPlan::iter_setup_tag_budget(int subsets) const {
-  return static_cast<std::uint64_t>(subsets) * iter_sweep_tag_budget();
-}
-
-std::uint64_t DecompositionPlan::iter_allreduce_bytes_per_sweep() const {
-  return static_cast<std::uint64_t>(volume_floats()) * sizeof(float);
+  return 2 * static_cast<std::uint64_t>(subsets);
 }
 
 std::uint64_t DecompositionPlan::iter_device_bytes(int subsets) const {
-  // x + one accumulator + per-subset column norms, all full volumes, plus
+  // x + one accumulator + per-subset column norms, all full volumes; the
+  // all-reduce's incoming and own-chunk scratch, ceil(V/P) floats each; and
   // this rank's projection shard and its forward-projection scratch.
-  return (2 + static_cast<std::uint64_t>(subsets)) * volume_floats() *
+  const std::uint64_t p = static_cast<std::uint64_t>(ranks());
+  const std::uint64_t chunk_floats =
+      p > 1 ? (volume_floats() + p - 1) / p : 0;
+  return ((2 + static_cast<std::uint64_t>(subsets)) * volume_floats() +
+          2 * chunk_floats) *
              sizeof(float) +
          2 * static_cast<std::uint64_t>(rounds) * pixels * sizeof(float);
 }

@@ -187,32 +187,26 @@ struct DecompositionPlan {
   //
   // The distributed iterative workload (iterative::run_iterative) replicates
   // the volume and shards views, so its collective unit is a volume-wide
-  // all-reduce (segmented tree ireduce to rank 0 + bcast) instead of the
-  // FDK row reduce. The same tag-window discipline applies: the workload
-  // asserts its actual reservations against these budgets per iteration.
+  // Comm::allreduce (reduce-scatter + allgather, 2 tags whatever the volume
+  // size) instead of the FDK row reduce; reduce_segment_floats does not
+  // enter. The same tag-window discipline applies: the workload asserts its
+  // actual reservations against these budgets per epoch.
 
   /// Floats in one full replicated volume: Nx * Ny * Nz — the payload of
-  /// one iterative all-reduce sweep.
+  /// one iterative all-reduce.
   std::size_t volume_floats() const { return slice_px * geometry.nz; }
-  /// Segments of one volume-wide ireduce: ceil(volume_floats / segment).
-  std::uint64_t iter_reduce_segments() const;
-  /// Collective tags one volume all-reduce reserves on the world
-  /// communicator: one per ireduce segment plus one for the bcast back out.
-  std::uint64_t iter_sweep_tag_budget() const {
-    return iter_reduce_segments() + 1;
-  }
   /// Collective tags one full iteration reserves: one volume all-reduce per
-  /// subset sweep plus the residual-norm allreduce (reduce + bcast).
+  /// subset sweep plus the residual-norm all-reduce, 2 each:
+  /// 2 * subsets + 2.
   std::uint64_t iter_iteration_tag_budget(int subsets) const;
   /// Collective tags the normalization setup reserves before iterating:
   /// one volume all-reduce per subset (SART's per-subset B*1 column norms;
-  /// MLEM's single sensitivity volume has subsets = 1).
+  /// MLEM's single sensitivity volume has subsets = 1): 2 * subsets.
   std::uint64_t iter_setup_tag_budget(int subsets) const;
-  /// Bytes one rank contributes to one volume all-reduce sweep.
-  std::uint64_t iter_allreduce_bytes_per_sweep() const;
   /// Device bytes the iterative workload keeps resident per rank: the
   /// estimate, one update/ratio accumulator, the per-subset column-norm
-  /// volumes, plus this rank's projection shard and forward buffer.
+  /// volumes, the all-reduce's two chunk scratch buffers (P > 1), plus
+  /// this rank's projection shard and forward buffer.
   std::uint64_t iter_device_bytes(int subsets) const;
 
   // -- memory constraint (Section 4.1.5) ------------------------------------

@@ -108,24 +108,14 @@ class IterativeWorkload final : public engine::Workload {
 
     const projector::ForwardProjector fp(g, params.step_fraction);
 
-    // ---- Volume all-reduce: segmented tree ireduce to rank 0 + bcast ------
-    // At P = 1 the root fold is a copy and the bcast a no-op, so the summed
-    // volume is bitwise the local accumulation — the parity contract's
-    // single-rank leg. The bcast makes the result bitwise-identical on
-    // every rank, which is what keeps the iterates (and the convergence
-    // branch) rank-consistent.
-    std::vector<float> reduce_recv(rank == 0 ? plan.volume_floats() : 0);
-    auto allreduce_volume = [&](Volume& v) {
+    // ---- Volume all-reduce (in place) ---------------------------------------
+    // At P = 1 it is a no-op, so the summed volume is bitwise the local
+    // accumulation: the parity contract's single-rank leg. Every rank
+    // receives the identical folded volume, which keeps the iterates (and
+    // the convergence branch) rank-consistent.
+    auto allreduce_sum = [&](float* data, std::size_t count) {
       ctx.wall.time("allreduce", [&] {
-        mpi::Comm::CollectiveRequest req = world.ireduce(
-            v.data(), rank == 0 ? reduce_recv.data() : nullptr, v.voxels(),
-            mpi::ReduceOp::kSum, /*root=*/0, plan.reduce_segment_floats);
-        req.wait();
-        if (rank == 0) {
-          std::copy(reduce_recv.begin(), reduce_recv.begin() + v.voxels(),
-                    v.data());
-        }
-        world.bcast(v.data(), v.voxels() * sizeof(float), /*root=*/0);
+        world.allreduce(data, data, count, mpi::ReduceOp::kSum);
       });
     };
 
@@ -162,7 +152,7 @@ class IterativeWorkload final : public engine::Workload {
         for (const std::size_t idx : owned_in_subset(sub)) {
           backproject_unweighted(g, ones_img, g.beta(shard[idx]), norm);
         }
-        allreduce_volume(norm);
+        allreduce_sum(norm.data(), norm.voxels());
         vox_norm.push_back(std::move(norm));
       }
     });
@@ -203,7 +193,7 @@ class IterativeWorkload final : public engine::Workload {
               backproject_unweighted(g, resid, g.beta(s), update);
             });
           }
-          allreduce_volume(update);
+          allreduce_sum(update.data(), update.voxels());
           const Volume& norm = vox_norm[static_cast<std::size_t>(sub)];
           ctx.wall.time("update", [&] {
             for_each_voxel(g, [&](std::size_t z, std::size_t n) {
@@ -230,7 +220,7 @@ class IterativeWorkload final : public engine::Workload {
             backproject_unweighted(g, ratio, g.beta(s), ratio_bp);
           });
         }
-        allreduce_volume(ratio_bp);
+        allreduce_sum(ratio_bp.data(), ratio_bp.voxels());
         const Volume& sens = vox_norm[0];
         ctx.wall.time("update", [&] {
           for_each_voxel(g, [&](std::size_t z, std::size_t n) {
@@ -242,11 +232,8 @@ class IterativeWorkload final : public engine::Workload {
 
       // Rank-consistent convergence check: one scalar allreduce, every rank
       // sees the identical reduced value and takes the identical branch.
-      float local = static_cast<float>(local_sumsq);
-      float total = 0;
-      ctx.wall.time("allreduce", [&] {
-        world.allreduce(&local, &total, 1, mpi::ReduceOp::kSum);
-      });
+      float total = static_cast<float>(local_sumsq);
+      allreduce_sum(&total, 1);
       const double rmse = std::sqrt(static_cast<double>(total) / total_pixels);
       engine::assert_tag_budget(
           iter_before, world.collective_tags_reserved(),
@@ -304,7 +291,8 @@ IterStats run_iterative(const geo::CbctGeometry& geometry,
         std::to_string(plan.iter_device_bytes(subsets)) +
         " B of device memory (replicated volume + " +
         std::to_string(subsets) +
-        " column-norm volume(s) + the view shard) but the device has " +
+        " column-norm volume(s) + all-reduce chunks + the view shard) but "
+        "the device has " +
         std::to_string(options.device.memory_bytes) + " B");
   }
 

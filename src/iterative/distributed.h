@@ -10,10 +10,11 @@
 // Each sweep, a rank forward-projects its owned views, back-projects each
 // correction as it is formed (one view per kernel call) into a local
 // kZMajor volume in ascending view order, and the
-// partial corrections are summed with the segmented tree ireduce + bcast
-// (one volume all-reduce per subset). The residual norm is all-reduced once
-// per iteration, so the early-stop decision is rank-consistent by
-// construction — every rank compares the identical reduced value.
+// partial corrections are summed in place by Comm::allreduce (reduce-scatter
+// + allgather, one volume all-reduce per subset). The residual norm is
+// all-reduced once per iteration by the same call, so the early-stop
+// decision is rank-consistent by construction — every rank compares the
+// identical reduced value.
 //
 // Parity contract (tests/test_distributed_iterative.cpp): on one rank the
 // owned-view order and every update expression match the serial textbook

@@ -105,13 +105,24 @@ constexpr int kCollectiveTagBase = 1 << 24;
 // budget checks can account for the wrap skip); alias it locally.
 constexpr std::uint64_t kCollectiveTagWindow = Comm::kCollectiveTagWindow;
 
-float apply_op(ReduceOp op, float a, float b) {
+/// acc[i] = acc[i] op src[i] for i < n: one step of the ascending-rank fold
+/// every reduction shares.
+void fold(ReduceOp op, float* acc, const float* src, std::size_t n) {
   switch (op) {
-    case ReduceOp::kSum: return a + b;
-    case ReduceOp::kMax: return a > b ? a : b;
-    case ReduceOp::kMin: return a < b ? a : b;
+    case ReduceOp::kSum:
+      for (std::size_t i = 0; i < n; ++i) acc[i] = acc[i] + src[i];
+      return;
+    case ReduceOp::kMax:
+      for (std::size_t i = 0; i < n; ++i) {
+        acc[i] = acc[i] > src[i] ? acc[i] : src[i];
+      }
+      return;
+    case ReduceOp::kMin:
+      for (std::size_t i = 0; i < n; ++i) {
+        acc[i] = acc[i] < src[i] ? acc[i] : src[i];
+      }
+      return;
   }
-  return a;
 }
 
 }  // namespace
@@ -493,9 +504,7 @@ Comm::CollectiveRequest Comm::ireduce(const float* send_data, float* recv,
         if (r == 0) {
           std::memcpy(recv + offset, contribution, len * sizeof(float));
         } else {
-          for (std::size_t i = 0; i < len; ++i) {
-            recv[offset + i] = apply_op(op, recv[offset + i], contribution[i]);
-          }
+          fold(op, recv + offset, contribution, len);
         }
       }
       if (on_segment) on_segment(offset, len);
@@ -531,7 +540,7 @@ void Comm::reduce(const float* send_data, float* recv, std::size_t count,
     // Deterministic order: start from rank 0's contribution and fold ranks
     // in ascending order, regardless of arrival order.
     std::vector<float> incoming(count);
-    if (root == 0) {
+    if (root == 0 && bytes > 0) {  // memcpy may not take a null source
       std::memcpy(recv, send_data, bytes);
     }
     for (int r = 0; r < size(); ++r) {
@@ -547,9 +556,7 @@ void Comm::reduce(const float* send_data, float* recv, std::size_t count,
         world_->fetch(comm_id_, my_world, r, tag, incoming.data(), bytes);
         contribution = incoming.data();
       }
-      for (std::size_t i = 0; i < count; ++i) {
-        recv[i] = apply_op(op, recv[i], contribution[i]);
-      }
+      fold(op, recv, contribution, count);
     }
   } else {
     world_->post(comm_id_, members_[static_cast<std::size_t>(root)], rank_,
@@ -559,8 +566,71 @@ void Comm::reduce(const float* send_data, float* recv, std::size_t count,
 
 void Comm::allreduce(const float* send_data, float* recv, std::size_t count,
                      ReduceOp op) {
-  reduce(send_data, recv, count, op, 0);
-  bcast(recv, count * sizeof(float), 0);
+  // Reduce-scatter (tag) then allgather (tag + 1). Rank c owns the chunk
+  // [count*c/p, count*(c+1)/p): it receives every other rank's slice of it,
+  // folds them in reduce()'s order, and sends the folded chunk back out.
+  const int tag = reserve_collective_tags(2);
+  const int p = size();
+  const int my_world = members_[static_cast<std::size_t>(rank_)];
+  const auto chunk_begin = [count, p](int c) {
+    return count * static_cast<std::size_t>(c) / static_cast<std::size_t>(p);
+  };
+  const auto chunk_bytes = [&](int c) {
+    return (chunk_begin(c + 1) - chunk_begin(c)) * sizeof(float);
+  };
+  // Visit peers starting after this rank, so the ranks' first posts land
+  // in different mailboxes.
+  const auto peer = [&](int k) { return (rank_ + k) % p; };
+
+  // Reduce-scatter: post every other chunk to its owner (post() copies, so
+  // an in-place recv may be overwritten from here on)...
+  for (int k = 1; k < p; ++k) {
+    const int c = peer(k);
+    if (chunk_bytes(c) == 0) continue;
+    world_->post(comm_id_, members_[static_cast<std::size_t>(c)], rank_, tag,
+                 send_data + chunk_begin(c), chunk_bytes(c));
+  }
+  // ...then fold the own chunk: rank 0's contribution first, then ranks
+  // 1..p-1 ascending, which is the root's order in reduce().
+  const std::size_t begin = chunk_begin(rank_);
+  const std::size_t len = chunk_begin(rank_ + 1) - begin;
+  float* acc = recv + begin;
+  const float* own = send_data + begin;
+  std::vector<float> own_copy;
+  if (acc == own && rank_ != 0) {
+    // In place, rank 0's contribution lands on this rank's own.
+    own_copy.assign(own, own + len);
+    own = own_copy.data();
+  }
+  std::vector<float> incoming(p > 1 ? len : 0);
+  if (len > 0) {
+    if (rank_ != 0) {
+      world_->fetch(comm_id_, my_world, 0, tag, acc, len * sizeof(float));
+    } else if (acc != own) {
+      std::memcpy(acc, own, len * sizeof(float));
+    }
+    for (int r = 1; r < p; ++r) {
+      const float* contribution = own;
+      if (r != rank_) {
+        world_->fetch(comm_id_, my_world, r, tag, incoming.data(),
+                      len * sizeof(float));
+        contribution = incoming.data();
+      }
+      fold(op, acc, contribution, len);
+    }
+    // Allgather: send the folded chunk to every other rank...
+    for (int k = 1; k < p; ++k) {
+      world_->post(comm_id_, members_[static_cast<std::size_t>(peer(k))],
+                   rank_, tag + 1, acc, len * sizeof(float));
+    }
+  }
+  // ...and collect theirs.
+  for (int k = 1; k < p; ++k) {
+    const int c = peer(k);
+    if (chunk_bytes(c) == 0) continue;
+    world_->fetch(comm_id_, my_world, c, tag + 1, recv + chunk_begin(c),
+                  chunk_bytes(c));
+  }
 }
 
 Comm Comm::split(int color, int key) {

@@ -10,7 +10,10 @@
 // Supported surface (everything iFDK needs, Section 4.1):
 //   * point-to-point: send / recv with tags, plus nonblocking isend/irecv
 //     (the FDK column gather runs over these),
-//   * collectives: barrier, bcast, gather, allgather, reduce, allreduce,
+//   * collectives: barrier, bcast, gather, allgather, reduce, and
+//     allreduce as reduce-scatter + allgather (every rank folds a 1/p
+//     chunk, nothing funnels through a root; the iterative workload's
+//     volume all-reduce),
 //   * nonblocking collectives: iallgather_ring and a chunked, pipelined
 //     ireduce with binomial-tree fan-in per segment, each returning a
 //     waitable CollectiveRequest (ireduce is the row Reduce of the Fig. 4
@@ -243,7 +246,16 @@ class Comm {
   void reduce(const float* send_data, float* recv, std::size_t count,
               ReduceOp op, int root);
 
-  /// reduce followed by bcast.
+  /// Element-wise float reduction whose result every rank receives, as a
+  /// reduce-scatter followed by an allgather. Rank c owns the chunk
+  /// [count*c/p, count*(c+1)/p) (empty when count < p): it folds that chunk
+  /// over ranks 0..p-1 in ascending order, starting from rank 0's
+  /// contribution, exactly as reduce() folds at its root, so results are
+  /// bitwise reduce()'s and identical on every rank. Each rank then sends
+  /// its folded chunk to every other. Reserves exactly 2 collective tags for
+  /// any count. `recv` may equal `send_data` (in place) but must not
+  /// otherwise overlap it; on one rank the call is a copy. Scratch: at most
+  /// two chunks, ceil(count/p) floats each.
   void allreduce(const float* send_data, float* recv, std::size_t count,
                  ReduceOp op);
 

@@ -250,17 +250,17 @@ JobHandle ReconService::submit(JobSpec spec) {
                    std::to_string(plan.iter_device_bytes(subsets)) +
                    " B of device memory (replicated volume + " +
                    std::to_string(subsets) +
-                   " column-norm volume(s) + the view shard) but the device "
-                   "has " +
+                   " column-norm volume(s) + all-reduce chunks + the view "
+                   "shard) but the device has " +
                    std::to_string(options_.ifdk.device.memory_bytes) + " B");
     }
     if (plan.iter_iteration_tag_budget(subsets) > window) {
       throw reject(
           "one iterative iteration reserves " +
           std::to_string(plan.iter_iteration_tag_budget(subsets)) +
-          " collective tags but the communicator tag window holds " +
-          std::to_string(window) + "; raise reduce_segment_floats (" +
-          std::to_string(plan.reduce_segment_floats) + ")");
+          " collective tags (2 per all-reduce, " + std::to_string(subsets) +
+          " subset(s) + the residual) but the communicator tag window "
+          "holds " + std::to_string(window) + "; use fewer subsets");
     }
   } else {
     try {

@@ -7,7 +7,7 @@
 // while payloads are rank-dependent, so every op's result is verifiable
 // from closed-form expectations. Seeds are pinned for CI determinism and
 // printed on failure via SCOPED_TRACE; the suite runs under the ASan/UBSan
-// lane like every other test.
+// and TSan lanes.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -123,6 +123,9 @@ struct Program {
   int ops;
   int abort_op = -1;    ///< op index at which abort_rank throws (-1 = never)
   int abort_rank = -1;
+  /// Widens the op draw past the pinned programs' range with a blocking
+  /// allreduce band; the pinned programs (false) draw exactly as before.
+  bool allreduce = false;
 };
 
 /// Runs the seeded op program on one rank. Every Rng draw below depends
@@ -143,7 +146,7 @@ void run_program(Comm& comm, const Program& prog) {
       throw ConfigError("stress: injected abort at op " +
                         std::to_string(op_id));
     }
-    const std::uint64_t kind = rng.next_below(100);
+    const std::uint64_t kind = rng.next_below(prog.allreduce ? 120 : 100);
     const int root = static_cast<int>(rng.next_below(
         static_cast<std::uint64_t>(p)));
     const std::size_t count = 1 + rng.next_below(64);
@@ -238,8 +241,19 @@ void run_program(Comm& comm, const Program& prog) {
                              comm.rank() == root ? rd->out.data() : nullptr,
                              count, rop, root, segment);
       pending.push_back(std::move(rd));
-    } else {
+    } else if (kind < 100) {
       comm.barrier();
+    } else {
+      // Blocking allreduce (in place on even draws) while nonblocking
+      // epochs are outstanding: every rank gets the ascending-rank fold.
+      std::vector<float> mine = make_payload(comm.rank(), op_id, count);
+      std::vector<float> out(count, -1.0f);
+      float* recv = kind % 2 == 0 ? mine.data() : out.data();
+      comm.allreduce(mine.data(), recv, count, rop);
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(recv[i], expected_fold(rop, p, op_id, i))
+            << "allreduce op " << op_id << ", element " << i;
+      }
     }
 
     if (!pending.empty() && (must_drain || wait_draw < 20)) {
@@ -275,6 +289,26 @@ TEST(CollectiveStress, SeededInterleavingsAcrossWorldSizes) {
                     static_cast<unsigned long long>(seed));
       return std::string(buf);
     }() + ", ranks " + std::to_string(prog.ranks));
+    run_world(prog.ranks, [&](Comm& comm) { run_program(comm, prog); });
+  }
+}
+
+TEST(CollectiveStress, AllreduceInterleavingsAcrossWorldSizes) {
+  // Programs of their own (the pinned ones above stay unchanged) with a
+  // blocking allreduce band between the outstanding ireduce and
+  // iallgather epochs, counts 1..64 against 2..8 ranks (empty chunks
+  // included).
+  for (const std::uint64_t seed :
+       {std::uint64_t{0xa1}, std::uint64_t{0xa11d}, std::uint64_t{0x3c0de},
+        std::uint64_t{0x5ca7}, std::uint64_t{0x7e58}, std::uint64_t{0xfef2},
+        std::uint64_t{0xd1ce}}) {  // 2, 3, ..., 8 ranks
+    Program prog;
+    prog.seed = seed;
+    prog.ranks = 2 + static_cast<int>(seed % 7);  // 2..8
+    prog.ops = 40;
+    prog.allreduce = true;
+    SCOPED_TRACE("allreduce stress seed " + std::to_string(seed) +
+                 ", ranks " + std::to_string(prog.ranks));
     run_world(prog.ranks, [&](Comm& comm) { run_program(comm, prog); });
   }
 }

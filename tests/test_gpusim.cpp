@@ -1,102 +1,16 @@
-// gpusim tests: device memory accounting and OOM behaviour (the constraint
-// behind Section 4.1.5's R selection), transfer cost accounting, and the
-// Table-4-calibrated kernel throughput model.
+// gpusim tests: the Table-4-calibrated kernel throughput model. (The device
+// memory constraint behind Section 4.1.5's R selection is the plan's
+// check_device_fit, tested as PlanMemory.* in test_plan.cpp.)
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
-#include "gpusim/device.h"
 #include "gpusim/kernel_model.h"
 #include "perfmodel/paper_reference.h"
 
 namespace ifdk::gpusim {
 namespace {
-
-DeviceSpec small_spec() {
-  DeviceSpec spec;
-  spec.memory_bytes = 1 << 20;  // 1 MiB toy device
-  return spec;
-}
-
-TEST(Device, AllocateTracksUsage) {
-  Device dev(small_spec());
-  EXPECT_EQ(dev.used_bytes(), 0u);
-  {
-    DeviceBuffer a = dev.allocate(1000);
-    EXPECT_GE(dev.used_bytes(), 1000u);
-    DeviceBuffer b = dev.allocate(2000);
-    EXPECT_GE(dev.used_bytes(), 3000u);
-  }
-  // RAII frees both.
-  EXPECT_EQ(dev.used_bytes(), 0u);
-}
-
-TEST(Device, OutOfMemoryThrows) {
-  Device dev(small_spec());
-  DeviceBuffer big = dev.allocate(900 << 10);
-  EXPECT_THROW(dev.allocate(200 << 10), DeviceOutOfMemory);
-  // After the failed allocation the device is still usable.
-  DeviceBuffer small = dev.allocate(50 << 10);
-  EXPECT_TRUE(small.valid());
-}
-
-TEST(Device, SubVolumePlusBatchMatchesPaperConstraint) {
-  // Section 4.1.5: 4 * (Nx*Ny*Nz/R + Nu*Nv*Nbatch) <= 16 GB with
-  // Nsub_vol = 8 GB: an 8 GB sub-volume plus a 32-projection batch of
-  // 2048^2 images must fit on a 16 GB device, but two sub-volumes must not.
-  Device dev;  // default 16 GB V100
-  DeviceBuffer sub = dev.allocate(8ull << 30);
-  DeviceBuffer batch = dev.allocate(2048ull * 2048 * 32 * sizeof(float));
-  EXPECT_TRUE(batch.valid());
-  EXPECT_THROW(dev.allocate(8ull << 30), DeviceOutOfMemory);
-}
-
-TEST(Device, MoveTransfersOwnership) {
-  Device dev(small_spec());
-  DeviceBuffer a = dev.allocate(4096);
-  const std::uint64_t used = dev.used_bytes();
-  DeviceBuffer b = std::move(a);
-  EXPECT_FALSE(a.valid());
-  EXPECT_TRUE(b.valid());
-  EXPECT_EQ(dev.used_bytes(), used);
-}
-
-TEST(Device, TransfersCopyDataAndChargeClock) {
-  Device dev(small_spec());
-  DeviceBuffer buf = dev.allocate(16 * sizeof(float));
-  std::vector<float> host{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
-  const double up = dev.h2d(buf, host.data(), host.size() * sizeof(float));
-  EXPECT_GT(up, 0);
-
-  std::vector<float> back(16, 0.0f);
-  const double down = dev.d2h(back.data(), buf, back.size() * sizeof(float));
-  EXPECT_GT(down, 0);
-  EXPECT_EQ(back, host);
-
-  EXPECT_DOUBLE_EQ(dev.virtual_h2d_seconds(), up);
-  EXPECT_DOUBLE_EQ(dev.virtual_d2h_seconds(), down);
-}
-
-TEST(Device, TransferCostMatchesBandwidthModel) {
-  DeviceSpec spec;
-  spec.memory_bytes = 1ull << 30;
-  spec.pcie_bandwidth_bytes_per_s = 11.9e9;
-  spec.pcie_latency_s = 0;
-  Device dev(spec);
-  DeviceBuffer buf = dev.allocate(256ull << 20);
-  std::vector<float> host((256ull << 20) / sizeof(float), 0.0f);
-  const double t = dev.h2d(buf, host.data(), 256ull << 20);
-  EXPECT_NEAR(t, (256.0 * (1 << 20)) / 11.9e9, 1e-9);
-}
-
-TEST(Device, KernelChargeAccumulates) {
-  Device dev(small_spec());
-  dev.charge_kernel(0.5);
-  dev.charge_kernel(0.25);
-  EXPECT_NEAR(dev.virtual_kernel_seconds(),
-              0.75 + 2 * dev.spec().launch_latency_s, 1e-12);
-}
 
 // ---------------------------------------------------------------------------
 // KernelModel

@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstring>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "minimpi/minimpi.h"
 
 namespace ifdk::mpi {
@@ -347,6 +352,114 @@ TEST(MiniMpi, RequestMoveSemantics) {
       EXPECT_EQ(got, 5);
     }
   });
+}
+
+// ---- allreduce: reduce-scatter + allgather ---------------------------------
+//
+// Every case is checked bitwise against reduce(root 0) + bcast, the
+// composition whose fold order allreduce promises to keep, on every rank.
+
+/// Rank `rank`'s contribution: mixed signs and magnitudes, so float sums
+/// depend on the fold order and any reordering shows in the bits.
+std::vector<float> allreduce_payload(int rank, std::size_t count) {
+  Rng rng(0xa11d + static_cast<std::uint64_t>(rank));
+  std::vector<float> out(count);
+  for (float& x : out) {
+    x = static_cast<float>(std::ldexp(rng.next_double() - 0.5,
+                                      static_cast<int>(rng.next_below(24))));
+  }
+  return out;
+}
+
+/// Runs one allreduce (in place or not) and the reduce + bcast oracle on
+/// `comm`, expecting the bits to match and exactly 2 tags reserved.
+void check_allreduce(Comm& comm, std::size_t count, ReduceOp op,
+                     bool in_place) {
+  const std::string what = "P=" + std::to_string(comm.size()) + " rank " +
+                           std::to_string(comm.rank()) + " count " +
+                           std::to_string(count) + " op " +
+                           std::to_string(static_cast<int>(op)) +
+                           (in_place ? " in place" : " out of place");
+  const std::vector<float> mine = allreduce_payload(comm.rank(), count);
+  // One spare element keeps the root's receive buffer non-null at count 0.
+  std::vector<float> oracle(count + 1);
+  comm.reduce(mine.data(), oracle.data(), count, op, /*root=*/0);
+  comm.bcast(oracle.data(), count * sizeof(float), /*root=*/0);
+
+  std::vector<float> got(count, -1.0f);
+  const std::uint64_t before = comm.collective_tags_reserved();
+  if (in_place) {
+    got = mine;
+    comm.allreduce(got.data(), got.data(), count, op);
+  } else {
+    comm.allreduce(mine.data(), got.data(), count, op);
+  }
+  EXPECT_EQ(comm.collective_tags_reserved() - before, 2u) << what;
+  if (count > 0) {  // memcmp may not take the empty vector's null data()
+    EXPECT_EQ(std::memcmp(got.data(), oracle.data(), count * sizeof(float)),
+              0)
+        << what;
+  }
+}
+
+/// The count matrix for a P-rank communicator: empty, a single element,
+/// fewer elements than ranks (empty chunks), exactly P, a non-multiple of
+/// P, and more than one 64K-float ireduce segment.
+std::vector<std::size_t> allreduce_counts(int p) {
+  const std::size_t n = static_cast<std::size_t>(p);
+  return {0, 1, n - 1, n, 3 * n + 1, (std::size_t{1} << 16) + 7};
+}
+
+TEST(MiniMpiAllreduce, MatchesReduceBcastBitwise) {
+  for (const int p : {1, 2, 3, 4, 5, 8}) {
+    run_world(p, [&](Comm& comm) {
+      for (const std::size_t count : allreduce_counts(p)) {
+        for (const ReduceOp op :
+             {ReduceOp::kSum, ReduceOp::kMax, ReduceOp::kMin}) {
+          for (const bool in_place : {false, true}) {
+            check_allreduce(comm, count, op, in_place);
+          }
+        }
+      }
+    });
+  }
+}
+
+TEST(MiniMpiAllreduce, MatchesReduceBcastOnSubCommunicators) {
+  // Reversed keys make each sub-communicator's rank order the opposite of
+  // the world's, so chunk ownership and fold order follow the sub-comm.
+  run_world(8, [](Comm& comm) {
+    Comm sub = comm.split(comm.rank() % 3 == 0 ? 0 : 1, -comm.rank());
+    for (const std::size_t count : allreduce_counts(sub.size())) {
+      for (const bool in_place : {false, true}) {
+        check_allreduce(sub, count, ReduceOp::kSum, in_place);
+      }
+    }
+    // The world communicator still works after the sub-comm traffic.
+    check_allreduce(comm, 1000, ReduceOp::kMax, /*in_place=*/true);
+  });
+}
+
+TEST(MiniMpiAllreduce, AbortMidAllreduceUnblocksTheWorld) {
+  // Ranks 0-2 enter the allreduce and post their chunks; rank 3 fails
+  // before contributing. The others block in the reduce-scatter until the
+  // abort reaches them, and run_world rethrows rank 3's root cause.
+  try {
+    run_world(4, [](Comm& comm) {
+      std::vector<float> v(100000, 1.0f);
+      if (comm.rank() == 3) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        throw ConfigError("rank 3 failed mid-allreduce");
+      }
+      comm.allreduce(v.data(), v.data(), v.size(), ReduceOp::kSum);
+      ADD_FAILURE() << "rank " << comm.rank()
+                    << " completed an allreduce missing rank 3";
+    });
+    FAIL() << "expected the injected failure to surface";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("mid-allreduce"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // Plus the plan's ConfigError / DeviceOutOfMemory message contracts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -205,6 +206,44 @@ TEST(PlanTagBudget, LiveEpochNeverExceedsTheBudget) {
   }
 }
 
+TEST(PlanTagBudget, IterativeEpochsReserveExactlyTheBudget) {
+  // Drive the collectives run_iterative issues — the setup's in-place
+  // volume all-reduce per subset; per iteration, one per subset plus the
+  // residual scalar — and check the live tag delta equals the plan's
+  // budgets exactly, whatever reduce_segment_floats (random here, 1 in
+  // some trials) says: that knob no longer enters the iterative budgets.
+  Rng rng(0x5eed0005);
+  for (int trial = 0; trial < 8; ++trial) {
+    RandomCase c = random_case(rng);
+    if (trial % 3 == 0) c.options.reduce_segment_floats = 1;
+    const DecompositionPlan plan =
+        DecompositionPlan::make(c.geometry, c.options);
+    const int subsets = 1 + static_cast<int>(rng.next_below(c.geometry.np));
+
+    mpi::run_world(plan.ranks(), [&](mpi::Comm& world) {
+      std::vector<float> volume(plan.volume_floats(), 1.0f);
+      auto sum_ones_volume = [&] {
+        std::fill(volume.begin(), volume.end(), 1.0f);
+        world.allreduce(volume.data(), volume.data(), volume.size(),
+                        mpi::ReduceOp::kSum);
+        EXPECT_EQ(volume.back(), static_cast<float>(plan.ranks()));
+      };
+
+      const std::uint64_t setup_before = world.collective_tags_reserved();
+      for (int sub = 0; sub < subsets; ++sub) sum_ones_volume();
+      EXPECT_EQ(world.collective_tags_reserved() - setup_before,
+                plan.iter_setup_tag_budget(subsets));
+
+      const std::uint64_t iter_before = world.collective_tags_reserved();
+      for (int sub = 0; sub < subsets; ++sub) sum_ones_volume();
+      float residual = 1.0f;
+      world.allreduce(&residual, &residual, 1, mpi::ReduceOp::kSum);
+      EXPECT_EQ(world.collective_tags_reserved() - iter_before,
+                plan.iter_iteration_tag_budget(subsets));
+    });
+  }
+}
+
 TEST(PlanErrors, MessagesNameTheOffendingValues) {
   const geo::CbctGeometry g =
       geo::make_standard_geometry({{32, 32, 16}, {12, 12, 12}});
@@ -286,6 +325,26 @@ TEST(PlanMemory, AutoRowSelectionAccountsForResidentSlabs) {
   const DecompositionPlan streaming = DecompositionPlan::make(g, opts, -1, 2);
   EXPECT_EQ(streaming.grid.rows, 4);
   streaming.check_device_fit(opts.device);
+}
+
+TEST(PlanMemory, PaperSubVolumePlusBatchFitsTheV100) {
+  // Section 4.1.5: 4 * (Nx*Ny*Nz/R + Nu*Nv*Nbatch) <= 16 GB. A 4096^3
+  // volume at R = 32 makes an 8 GiB slab pair; with a 32-projection batch
+  // of 2048^2 images it fits the default 16 GB V100, but a second
+  // resident slab pair (streaming's double buffer) does not.
+  const geo::CbctGeometry g =
+      geo::make_standard_geometry({{2048, 2048, 4096}, {4096, 4096, 4096}});
+  IfdkOptions opts;
+  opts.ranks = 32;
+  opts.rows = 32;
+  const DecompositionPlan single = DecompositionPlan::make(g, opts, -1, 1);
+  EXPECT_EQ(single.slab_bytes(), 8ull << 30);
+  EXPECT_EQ(single.device_bytes(),
+            (8ull << 30) + 2048ull * 2048 * 32 * sizeof(float));
+  single.check_device_fit(gpusim::DeviceSpec{});
+  const DecompositionPlan doubled = DecompositionPlan::make(g, opts, -1, 2);
+  EXPECT_THROW(doubled.check_device_fit(gpusim::DeviceSpec{}),
+               DeviceOutOfMemory);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -166,6 +167,41 @@ TEST(ServiceAdmission, TagBudgetOverflowRejectsAtSubmitNamingTheNumbers) {
     EXPECT_NE(what.find("reduce_segment_floats"), std::string::npos) << what;
   }
   EXPECT_EQ(svc.stats().rejected, 1u);
+}
+
+TEST(ServiceAdmission, ArtJobWithOneFloatSegmentsIsAdmittedAndCompletes) {
+  // ART is OS-SART with one view per subset: 256 volume all-reduces per
+  // iteration. Two tags each keep one iteration at 2 * 256 + 2 = 514 tags
+  // whatever reduce_segment_floats is — one-float segments must not push it
+  // past the 1,048,576-tag window (a segmented volume all-reduce would
+  // need 256 * (4096 + 1) + 2 tags here).
+  const auto g = geo::make_standard_geometry({{16, 16, 256}, {16, 16, 16}});
+  ServiceOptions opts;
+  opts.ifdk.ranks = 4;
+  opts.ifdk.rows = 1;
+  opts.ifdk.reduce_segment_floats = 1;
+  JobSpec spec{"in/", "out/slice_"};
+  spec.workload = WorkloadKind::kIterative;
+  spec.iterative.algorithm = iterative::Algorithm::kOsSart;
+  spec.iterative.subsets = 256;
+  spec.iterative.iterations = 1;
+  const std::vector<Image2D> projections =
+      phantom::project_all(job_phantom(0.3), g);
+
+  pfs::ParallelFileSystem fs_ref;
+  stage_projections(fs_ref, spec.input_prefix, projections);
+  iterative::run_iterative(g, fs_ref, opts.ifdk, spec);
+
+  pfs::ParallelFileSystem fs;
+  stage_projections(fs, spec.input_prefix, projections);
+  ReconService svc(g, fs, opts);
+  JobHandle handle = svc.submit(spec);
+  svc.drain();
+  EXPECT_EQ(handle.state(), JobState::kStored) << handle.error();
+  EXPECT_EQ(svc.stats().rejected, 0u);
+  const Volume ref = load_volume(fs_ref, spec.output_prefix, g.vol_dims());
+  const Volume got = load_volume(fs, spec.output_prefix, g.vol_dims());
+  EXPECT_EQ(std::memcmp(ref.data(), got.data(), ref.bytes()), 0);
 }
 
 TEST(ServiceAdmission, ByteAccountingTracksAdmissionAndCompression) {

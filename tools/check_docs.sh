@@ -19,9 +19,10 @@
 #    move/copy boilerplate, destructors and `= default/delete` lines are
 #    exempt).
 # 3. Stale names: identifiers of deleted FDK execution paths, option knobs,
-#    minimpi collectives, the framed row-reduce, the runtime's device ledger
-#    and the projector's per-sample sampler (now the test oracle's) must not
-#    reappear in src/, docs/ or README.md.
+#    minimpi collectives, the framed row-reduce, the device ledger, the
+#    projector's per-sample sampler (now the test oracle's) and the
+#    iterative workload's segmented volume all-reduce must not reappear in
+#    src/, docs/ or README.md.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -100,6 +101,8 @@ stale+='|fuse_filter_gather|reduce_fan_in|(^|[^i])allgather_ring\(|reduce_tree'
 stale+='|compress_wire|WireCodec|make_wire_codec|WireStats|wire_ratio'
 stale+='|wire_compression_ratio|device_model|ForwardProjector::sample'
 stale+='|IterOptions|ForwardOptions|on_iteration|iterative::art'
+stale+='|allreduce_volume|iter_reduce_segments|iter_sweep_tag_budget'
+stale+='|iter_allreduce_bytes_per_sweep|DeviceBuffer'
 if grep -rnE "$stale" src docs README.md; then
   echo "STALE NAME: the lines above name a deleted execution path or knob"
   fail=1
