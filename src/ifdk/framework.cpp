@@ -66,7 +66,7 @@ struct StreamRankStats {
   std::vector<std::string> volume_errors;  ///< row roots only; "" = stored
   /// Per-volume store accounting of the volumes this rank roots (all other
   /// entries stay default); every column-0 rank of a grid is a row root, so
-  /// the cross-rank merge must SUM sse/values/bytes and MAX the peak.
+  /// the caller merges them across ranks (StreamStats::merge).
   std::vector<pfs::StreamStats> store;
 };
 
@@ -545,8 +545,8 @@ StreamingStats run_streaming(const geo::CbctGeometry& geometry,
   out.overlap_efficiency = engine_stats.efficiency;
   const double wall_total = engine_stats.wall_total;
   // Every column-0 rank is a row root, so per-volume store accounting is
-  // scattered across R ranks: merge by summing the byte/error sums and
-  // maxing the PSNR peak (the merged stats ARE the whole volume's store).
+  // scattered across R ranks: the merged stats ARE the whole volume's
+  // store.
   std::vector<pfs::StreamStats> store(n_volumes);
   for (std::size_t r = 0; r < static_cast<std::size_t>(options.ranks); ++r) {
     const StreamRankStats& rs = workload.rank_stats(r);
@@ -554,11 +554,7 @@ StreamingStats run_streaming(const geo::CbctGeometry& geometry,
       if (out.volume_errors[v].empty() && !rs.volume_errors[v].empty()) {
         out.volume_errors[v] = rs.volume_errors[v];
       }
-      store[v].raw_bytes += rs.store[v].raw_bytes;
-      store[v].stored_bytes += rs.store[v].stored_bytes;
-      store[v].sum_squared_error += rs.store[v].sum_squared_error;
-      store[v].peak = std::max(store[v].peak, rs.store[v].peak);
-      store[v].values += rs.store[v].values;
+      store[v].merge(rs.store[v]);
     }
   }
   out.volume_store_psnr_db.reserve(n_volumes);

@@ -50,10 +50,11 @@ struct JobSpec {
   // -- store options --------------------------------------------------------
 
   /// Store this job's slices as quantized+RLE CompressedVolume objects
-  /// (the lossy postproc codec) instead of raw floats. Opt-in per job: the
-  /// store shrinks by the achieved ratio at a bounded quantization error,
-  /// and the per-volume PSNR and ratio are recorded in StreamingStats.
-  /// Read the slices back with load_volume(..., compressed_store=true).
+  /// (the lossy postproc codec) instead of raw floats, for both workloads.
+  /// Opt-in per job: the store shrinks by the achieved ratio at a bounded
+  /// quantization error, and the PSNR and ratio are recorded in
+  /// StreamingStats (FDK) or IterStats::store (iterative). Read the slices
+  /// back with load_volume(..., compressed_store=true).
   bool compress_store = false;
   /// Quantization depth of the compressed store, 8..16 bits per voxel
   /// (only meaningful with compress_store=true).

@@ -171,6 +171,19 @@ void DecompositionPlan::check_device_fit(const gpusim::DeviceSpec& spec) const {
   }
 }
 
+void DecompositionPlan::check_iter_device_fit(
+    int subsets, const gpusim::DeviceSpec& spec) const {
+  if (iter_device_bytes(subsets) > spec.memory_bytes) {
+    throw DeviceOutOfMemory(
+        "iterative reconstruction needs " +
+        std::to_string(iter_device_bytes(subsets)) +
+        " B of device memory (replicated volume + " + std::to_string(subsets) +
+        " column-norm volume(s) + all-reduce chunks + the view shard) but "
+        "the device has " +
+        std::to_string(spec.memory_bytes) + " B");
+  }
+}
+
 std::string stream_fit_error(std::span<const DecompositionPlan> plans,
                              const gpusim::DeviceSpec& spec) {
   const std::uint64_t resident = plans.size() > 1 ? 2 : 1;

@@ -217,6 +217,11 @@ struct DecompositionPlan {
   /// Throws DeviceOutOfMemory (naming the numbers) when device_bytes() does
   /// not fit `spec.memory_bytes`.
   void check_device_fit(const gpusim::DeviceSpec& spec) const;
+  /// The iterative workload's counterpart: throws DeviceOutOfMemory (naming
+  /// the bytes, the subset count and the device size) when
+  /// iter_device_bytes(subsets) does not fit `spec.memory_bytes`.
+  void check_iter_device_fit(int subsets,
+                             const gpusim::DeviceSpec& spec) const;
 
   /// True when `other` resolves to the same R x C grid — the condition
   /// under which streaming reuses the previous epoch's communicators

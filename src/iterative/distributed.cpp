@@ -42,11 +42,14 @@ void for_each_voxel(const geo::CbctGeometry& g, Fn&& fn) {
 }
 
 /// Per-rank results the workload owns (the generic wall/total stats ride
-/// the engine's RankContext; these fields are identical on every rank after
-/// the final barrier, so the caller reads rank 0's).
+/// the engine's RankContext). The convergence record is identical on every
+/// rank, so the caller reads rank 0's; the store fields are set on row
+/// roots only and merged across ranks.
 struct IterRankOut {
   int iterations_run = 0;
   std::vector<double> residual_rmse;
+  std::string store_error;  ///< row roots only; "" = slab pair stored
+  pfs::StreamStats store;   ///< row roots only; this root's slab pair
 };
 
 /// The per-rank body of the distributed solver (see distributed.h for the
@@ -55,14 +58,14 @@ class IterativeWorkload final : public engine::Workload {
  public:
   IterativeWorkload(pfs::ParallelFileSystem& fs, const IfdkOptions& options,
                     const JobSpec& job, const DecompositionPlan& plan)
-      : fs_(fs), job_(job), plan_(plan) {
+      : fs_(fs), options_(options), job_(job), plan_(plan) {
     outs_.resize(static_cast<std::size_t>(options.ranks));
   }
 
-  /// Rank `rank`'s convergence record (identical across ranks).
+  /// Rank `rank`'s convergence record and store outcome.
   const IterRankOut& out(std::size_t rank) const { return outs_[rank]; }
 
-  /// One rank's solve: load shard, normalize, iterate, store (rank 0).
+  /// One rank's solve: load shard, normalize, iterate, store (row roots).
   void run_rank(engine::RankContext& ctx) override {
     const DecompositionPlan& plan = plan_;
     const geo::CbctGeometry& g = plan.geometry;
@@ -244,15 +247,31 @@ class IterativeWorkload final : public engine::Workload {
       if (params.stop_rmse > 0 && rmse <= params.stop_rmse) break;
     }
 
-    // ---- Store (rank 0 writes every slice; the volume is replicated) ------
-    if (rank == 0) {
+    // ---- Store (row roots write their slab pairs, as FDK does) ------------
+    // The estimate is replicated, so each row root stores its row's slices
+    // from its own copy.
+    const int row = plan.row_of(rank);
+    const bool root = plan.col_of(rank) == 0;
+    engine::VolumeWriterSet writers(
+        fs_, options_.queue_capacity, {root},
+        {job_.compress_store ? job_.store_bits : 0});
+    if (root) {
       ctx.wall.time("store", [&] {
-        for (std::size_t k = 0; k < g.nz; ++k) {
-          fs_.write_object(engine::object_name(job_.output_prefix, k),
-                           x.slice(k), plan.slice_px * sizeof(float));
+        for (std::size_t k = 0; k < 2 * plan.slab_h; ++k) {
+          const std::size_t z = plan.global_slice(row, k);
+          const float* src = x.slice(z);
+          // A poisoned stream refuses further slices; the error surfaces
+          // from finish_volume.
+          if (!writers.enqueue(0, engine::object_name(job_.output_prefix, z),
+                               std::vector<float>(src, src + plan.slice_px))) {
+            break;
+          }
         }
+        out.store_error = writers.finish_volume(0);
       });
+      out.store = writers.volume_store_stats(0);
     }
+    writers.finish();
     world.barrier();
     ctx.total = rank_timer.seconds();
     if (ctx.total > 0) {
@@ -267,6 +286,7 @@ class IterativeWorkload final : public engine::Workload {
 
  private:
   pfs::ParallelFileSystem& fs_;
+  const IfdkOptions& options_;
   const JobSpec& job_;
   const DecompositionPlan& plan_;
   std::vector<IterRankOut> outs_;
@@ -284,17 +304,7 @@ IterStats run_iterative(const geo::CbctGeometry& geometry,
                "dispatch through run_streaming");
   const geo::CbctGeometry g = job.geometry.value_or(geometry);
   const DecompositionPlan plan = DecompositionPlan::make(g, options);
-  const int subsets = job.iterative.subsets;  // 1 for MLEM (validated)
-  if (plan.iter_device_bytes(subsets) > options.device.memory_bytes) {
-    throw DeviceOutOfMemory(
-        "iterative reconstruction needs " +
-        std::to_string(plan.iter_device_bytes(subsets)) +
-        " B of device memory (replicated volume + " +
-        std::to_string(subsets) +
-        " column-norm volume(s) + all-reduce chunks + the view shard) but "
-        "the device has " +
-        std::to_string(options.device.memory_bytes) + " B");
-  }
+  plan.check_iter_device_fit(job.iterative.subsets, options.device);
 
   IterativeWorkload workload(fs, options, job, plan);
   const engine::EngineStats engine_stats =
@@ -311,6 +321,13 @@ IterStats run_iterative(const geo::CbctGeometry& geometry,
   out.residual_rmse = workload.out(0).residual_rmse;
   out.iterations_per_second =
       out.wall_total > 0 ? out.iterations_run / out.wall_total : 0;
+  // Each row root stored one slab pair: the merged stats are the volume's
+  // store, and any root's failed write fails the one volume.
+  for (int r = 0; r < options.ranks; ++r) {
+    const IterRankOut& rank_out = workload.out(static_cast<std::size_t>(r));
+    if (!rank_out.store_error.empty()) throw IoError(rank_out.store_error);
+    out.store.merge(rank_out.store);
+  }
   return out;
 }
 

@@ -29,6 +29,12 @@
 // corrections) are kZMajor, the kernel's layout; the estimate is kXMajor,
 // the projector's and the store's, and the SART/MLEM updates read the
 // former and write the latter voxel by voxel.
+//
+// Store: the partition FDK uses (Section 4.1.3). The column-0 rank of each
+// plan row writes that row's symmetric slab pair, 2*slab_h slices of its
+// replicated estimate, through engine::VolumeWriterSet, so
+// JobSpec::compress_store/store_bits apply and the per-root byte/PSNR
+// accounting merges into IterStats::store.
 #pragma once
 
 #include <string>
@@ -39,6 +45,7 @@
 #include "ifdk/job.h"
 #include "ifdk/plan.h"
 #include "perfmodel/model.h"
+#include "pfs/async_writer.h"
 #include "pfs/pfs.h"
 
 namespace ifdk::iterative {
@@ -62,17 +69,23 @@ struct IterStats {
   double wall_total = 0;
   /// iterations_run / wall_total (0 when wall_total is 0).
   double iterations_per_second = 0;
+  /// Store accounting of the volume, merged across the row roots (raw vs
+  /// stored bytes; the quantization PSNR for JobSpec::compress_store).
+  pfs::StreamStats store;
 };
 
 /// Runs one iterative job (`job.workload` must be kIterative) on
 /// `options.ranks` engine ranks: projections are read from
-/// `<job.input_prefix><s>`, the converged volume's slices are written by
-/// rank 0 to `<job.output_prefix><k>`. The job's geometry override (else
-/// `geometry`) is decomposed by the same DecompositionPlan the FDK runtime
-/// uses; per-iteration collective traffic is asserted against the plan's
-/// iter_* tag budgets. Throws ConfigError on invalid options/job,
-/// DeviceOutOfMemory when the replicated-volume working set exceeds the
-/// device, and IoError on storage failures.
+/// `<job.input_prefix><s>`, and the converged volume's slices are written
+/// to `<job.output_prefix><k>` by the row roots, each storing its row's
+/// slab pair (raw, or compressed when job.compress_store is set). The
+/// job's geometry override (else `geometry`) is decomposed by the same
+/// DecompositionPlan the FDK runtime uses; per-iteration collective traffic
+/// is asserted against the plan's iter_* tag budgets. Throws ConfigError on
+/// invalid options/job, DeviceOutOfMemory when the replicated-volume
+/// working set exceeds the device, and IoError on storage failures (after
+/// the world joined, with the first failing root's error for a failed
+/// store).
 IterStats run_iterative(const geo::CbctGeometry& geometry,
                         pfs::ParallelFileSystem& fs,
                         const IfdkOptions& options, const JobSpec& job);

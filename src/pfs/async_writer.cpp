@@ -1,5 +1,6 @@
 #include "pfs/async_writer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <utility>
@@ -17,6 +18,14 @@ double StreamStats::psnr_db() const {
   if (peak <= 0) return std::numeric_limits<double>::quiet_NaN();
   const double mse = sum_squared_error / static_cast<double>(values);
   return 10.0 * std::log10(peak * peak / mse);
+}
+
+void StreamStats::merge(const StreamStats& other) {
+  raw_bytes += other.raw_bytes;
+  stored_bytes += other.stored_bytes;
+  sum_squared_error += other.sum_squared_error;
+  peak = std::max(peak, other.peak);
+  values += other.values;
 }
 
 std::vector<float> read_compressed_object(const ParallelFileSystem& fs,

@@ -67,6 +67,11 @@ struct StreamStats {
   /// Peak signal-to-noise ratio of the stored stream in dB; +inf for a
   /// lossless (uncompressed) or empty stream, NaN when the peak is zero.
   double psnr_db() const;
+  /// Folds another stream's accounting into this one: sums the bytes, the
+  /// squared error and the values, and keeps the larger peak. Merging the
+  /// streams of every row root that stored part of a volume gives that
+  /// volume's store accounting.
+  void merge(const StreamStats& other);
 };
 
 /// Background writer over a ParallelFileSystem. Single producer / single

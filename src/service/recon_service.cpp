@@ -245,14 +245,10 @@ JobHandle ReconService::submit(JobSpec spec) {
   const std::uint64_t window = mpi::Comm::kCollectiveTagWindow;
   if (is_iterative) {
     const int subsets = spec.iterative.subsets;
-    if (plan.iter_device_bytes(subsets) > options_.ifdk.device.memory_bytes) {
-      throw reject("iterative job needs " +
-                   std::to_string(plan.iter_device_bytes(subsets)) +
-                   " B of device memory (replicated volume + " +
-                   std::to_string(subsets) +
-                   " column-norm volume(s) + all-reduce chunks + the view "
-                   "shard) but the device has " +
-                   std::to_string(options_.ifdk.device.memory_bytes) + " B");
+    try {
+      plan.check_iter_device_fit(subsets, options_.ifdk.device);
+    } catch (const DeviceOutOfMemory& e) {
+      throw reject(e.what());
     }
     if (plan.iter_iteration_tag_budget(subsets) > window) {
       throw reject(
@@ -435,6 +431,10 @@ void ReconService::dispatch_loop() {
     std::vector<std::string> iter_errors(batch.size());
     std::vector<perfmodel::GridShape> iter_grids(batch.size());
     std::vector<StageTimer> iter_walls(batch.size());
+    // What the store path carried for this batch (a stored iterative job's
+    // IterStats::store, or the whole stream's totals).
+    std::size_t batch_raw_bytes = 0;
+    std::size_t batch_stored_bytes = 0;
     if (iterative_batch) {
       for (std::size_t i = 0; i < batch.size(); ++i) {
         try {
@@ -443,6 +443,8 @@ void ReconService::dispatch_loop() {
                                        specs[i]);
           iter_grids[i] = run.grid;
           iter_walls[i] = run.wall;
+          batch_raw_bytes += run.store.raw_bytes;
+          batch_stored_bytes += run.store.stored_bytes;
         } catch (const std::exception& e) {
           iter_errors[i] = e.what();
           iter_grids[i] = batch[i]->plan.grid;
@@ -451,6 +453,8 @@ void ReconService::dispatch_loop() {
     } else {
       try {
         streamed = run_streaming(geometry_, fs_, options_.ifdk, specs);
+        batch_raw_bytes = streamed.store_raw_bytes;
+        batch_stored_bytes = streamed.store_stored_bytes;
       } catch (const std::exception& e) {
         // A non-store failure (bad read, aborted world) takes down the whole
         // dispatch; the failure is isolated to THIS batch — the service
@@ -460,13 +464,10 @@ void ReconService::dispatch_loop() {
     }
     lock.lock();
 
-    if (!iterative_batch && batch_error.empty()) {
-      // Measured byte movement of the dispatched stream: what the store
-      // path actually carried, summed across batches so stats() reports
-      // ratio-of-sums.
-      st.store_raw_bytes += streamed.store_raw_bytes;
-      st.store_stored_bytes += streamed.store_stored_bytes;
-    }
+    // Measured byte movement of the dispatched batch, summed across
+    // batches so stats() reports ratio-of-sums.
+    st.store_raw_bytes += batch_raw_bytes;
+    st.store_stored_bytes += batch_stored_bytes;
 
     for (std::size_t i = 0; i < batch.size(); ++i) {
       JobRecord& job = *batch[i];

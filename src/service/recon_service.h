@@ -140,7 +140,8 @@ struct ServiceStats {
 
   /// Raw output bytes (4 * voxels) accepted past admission, all tenants.
   std::size_t admitted_output_bytes = 0;
-  /// Bytes row roots handed the store path across all dispatched streams.
+  /// Bytes row roots handed the store path across all dispatched batches,
+  /// FDK and iterative.
   std::size_t store_raw_bytes = 0;
   /// Bytes that actually hit the PFS (serialized compressed objects for
   /// JobSpec::compress_store jobs; raw bytes otherwise).

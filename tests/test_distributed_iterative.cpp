@@ -4,12 +4,14 @@
 // and every fold pins the sequential arithmetic exactly) and tight-tolerance
 // on multi-rank grids (where the all-reduce folds rank partials in a
 // different deterministic order) — plus monotone residual decrease on a
-// noiseless phantom, rerun determinism, rank-consistent early stop, and
+// noiseless phantom, rerun determinism, rank-consistent early stop, the
+// row-root store (compressed round trip and write-failure error), and
 // workload-selector validation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -18,6 +20,7 @@
 #include "iterative/distributed.h"
 #include "iterative_oracle.h"
 #include "phantom/phantom.h"
+#include "postproc/compression.h"
 
 namespace ifdk::iterative {
 namespace {
@@ -28,10 +31,10 @@ struct Scene {
 };
 
 /// Noiseless Shepp-Logan scene sized so every grid in the suite divides it:
-/// Np = 8 splits across 1/2/4 ranks, Nz = 12 satisfies Nz % 2R for R in
-/// {1, 2}.
-Scene make_scene(std::size_t np = 8) {
-  Scene s{geo::make_standard_geometry({{32, 32, np}, {12, 12, 12}}), {}};
+/// Np = 8 splits across 1/2/4 ranks, Nz = 12 (or 16) satisfies Nz % 2R for
+/// R in {1, 2}.
+Scene make_scene(std::size_t np = 8, std::size_t n = 12) {
+  Scene s{geo::make_standard_geometry({{32, 32, np}, {n, n, n}}), {}};
   s.projections = phantom::project_all(phantom::shepp_logan(), s.g);
   return s;
 }
@@ -203,6 +206,81 @@ TEST(DistributedIterative, EarlyStopIsRankConsistent) {
   EXPECT_EQ(stats.iterations_run, 1);
   ASSERT_EQ(stats.residual_rmse.size(), 1u);
   EXPECT_EQ(stats.algorithm, "sart");
+}
+
+// ---- Store ------------------------------------------------------------------
+//
+// The row roots store their slab pairs through the engine's writer plumbing,
+// so JobSpec::compress_store applies to iterative jobs as it does to FDK.
+
+TEST(DistributedIterative, CompressedStoreRoundTripsFromTwoRowRoots) {
+  // 16^3: the store codec spends 4 B per RLE run plus a header per slice,
+  // so a 12^3 estimate stores at exactly its raw size; the larger
+  // background of 16^3 leaves a margin for the stored < raw check.
+  const Scene s = make_scene(8, 16);
+  IterParams params;
+  params.iterations = 3;
+  const JobSpec raw_job = make_iter_job(params, "store_raw");
+  JobSpec cmp_job = make_iter_job(params, "store_cmp");
+  cmp_job.compress_store = true;
+  cmp_job.store_bits = 12;
+
+  pfs::ParallelFileSystem fs;
+  stage_projections(fs, raw_job.input_prefix, s.projections);
+  stage_projections(fs, cmp_job.input_prefix, s.projections);
+  const IfdkOptions opts = grid_options(4, 2);  // two row roots
+  const IterStats raw_stats = run_iterative(s.g, fs, opts, raw_job);
+  const IterStats cmp_stats = run_iterative(s.g, fs, opts, cmp_job);
+
+  const Volume ref = load_volume(fs, raw_job.output_prefix, s.g.vol_dims());
+  const Volume back = load_volume(fs, cmp_job.output_prefix, s.g.vol_dims(),
+                                  /*compressed_store=*/true);
+  // 12-bit quantization: FDK's store bound.
+  EXPECT_GT(postproc::psnr_db(ref, back), 40.0);
+
+  const std::size_t raw_bytes = ref.voxels() * sizeof(float);
+  EXPECT_EQ(raw_stats.store.raw_bytes, raw_bytes);
+  EXPECT_EQ(raw_stats.store.stored_bytes, raw_bytes);
+  EXPECT_TRUE(std::isinf(raw_stats.store.psnr_db()));  // bit-exact store
+  EXPECT_EQ(cmp_stats.store.raw_bytes, raw_bytes);
+  EXPECT_LT(cmp_stats.store.stored_bytes, cmp_stats.store.raw_bytes);
+  EXPECT_EQ(cmp_stats.store.values, ref.voxels());
+  EXPECT_GT(cmp_stats.store.psnr_db(), 40.0);
+}
+
+/// PFS that fails every write under one prefix.
+class WriteFailFs : public pfs::ParallelFileSystem {
+ public:
+  explicit WriteFailFs(std::string prefix) : prefix_(std::move(prefix)) {}
+
+  void write_object(const std::string& name, const void* data,
+                    std::size_t bytes) override {
+    if (name.rfind(prefix_, 0) == 0) {
+      throw IoError("injected PFS write failure: " + name);
+    }
+    pfs::ParallelFileSystem::write_object(name, data, bytes);
+  }
+
+ private:
+  std::string prefix_;
+};
+
+TEST(DistributedIterative, FailedStoreThrowsIoErrorNamingTheFailure) {
+  const Scene s = make_scene();
+  IterParams params;
+  params.iterations = 1;
+  const JobSpec job = make_iter_job(params, "store_fail");
+  WriteFailFs fs(job.output_prefix);
+  stage_projections(fs, job.input_prefix, s.projections);
+  try {
+    run_iterative(s.g, fs, grid_options(4, 2), job);
+    FAIL() << "expected IoError";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("injected PFS write failure: " +
+                                         job.output_prefix),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- Workload-selector validation -------------------------------------------

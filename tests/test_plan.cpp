@@ -305,6 +305,35 @@ TEST(PlanMemory, DeviceFitCheckNamesTheNumbers) {
   plan.check_device_fit(gpusim::DeviceSpec{});
 }
 
+TEST(PlanMemory, IterativeDeviceFitCheckNamesTheNumbers) {
+  const geo::CbctGeometry g =
+      geo::make_standard_geometry({{32, 32, 16}, {12, 12, 12}});
+  IfdkOptions opts;
+  opts.ranks = 4;
+  opts.rows = 2;
+  const DecompositionPlan plan = DecompositionPlan::make(g, opts);
+  gpusim::DeviceSpec tiny;
+  tiny.memory_bytes = 1024;
+  try {
+    plan.check_iter_device_fit(3, tiny);
+    FAIL() << "expected DeviceOutOfMemory";
+  } catch (const DeviceOutOfMemory& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("needs " + std::to_string(plan.iter_device_bytes(3)) +
+                        " B"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("3 column-norm volume(s)"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("device has 1024 B"), std::string::npos) << what;
+  }
+  // An exact fit passes, and so does the 16 GB default.
+  gpusim::DeviceSpec exact;
+  exact.memory_bytes = plan.iter_device_bytes(3);
+  plan.check_iter_device_fit(3, exact);
+  plan.check_iter_device_fit(3, gpusim::DeviceSpec{});
+}
+
 TEST(PlanMemory, AutoRowSelectionAccountsForResidentSlabs) {
   // With rows = 0 the plan doubles R until resident_slabs slab pairs plus a
   // batch fit the device — streaming (2 resident slabs) can resolve a

@@ -144,6 +144,33 @@ TEST(ServiceAdmission, DeviceMisfitRejectsAtSubmitNamingTheNumbers) {
   EXPECT_EQ(stats.queued, 0u);
 }
 
+TEST(ServiceAdmission, OversizedIterativeJobRejectsAtSubmit) {
+  // The replicated estimate, accumulator and column norms of a 12^3 job
+  // are ~20 KB per rank: an 8 KB device can never run it.
+  pfs::ParallelFileSystem fs;
+  ServiceOptions opts;
+  opts.ifdk.ranks = 4;
+  opts.ifdk.rows = 2;
+  opts.ifdk.device.memory_bytes = 8192;
+  ReconService svc(small_geometry(), fs, opts);
+  JobSpec spec{"in/", "out/slice_"};
+  spec.workload = WorkloadKind::kIterative;
+
+  try {
+    svc.submit(spec);
+    FAIL() << "expected AdmissionError";
+  } catch (const AdmissionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rejected at admission"), std::string::npos) << what;
+    EXPECT_NE(what.find("column-norm volume(s)"), std::string::npos) << what;
+    EXPECT_NE(what.find("device has 8192"), std::string::npos) << what;
+  }
+  const ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.submitted, 0u);
+  EXPECT_EQ(stats.queued, 0u);
+}
+
 TEST(ServiceAdmission, TagBudgetOverflowRejectsAtSubmitNamingTheNumbers) {
   // Nz = 1024 at R = 2 puts 2 * 256 * 64 * 64 = 2,097,152 floats in one
   // slab pair; one-float segments need one collective tag per float —
@@ -207,16 +234,22 @@ TEST(ServiceAdmission, ArtJobWithOneFloatSegmentsIsAdmittedAndCompletes) {
 TEST(ServiceAdmission, ByteAccountingTracksAdmissionAndCompression) {
   // Admission charges each tenant the job's raw output bytes (4 * voxels of
   // its plan) the moment it is accepted; after dispatch the service-wide
-  // store counters report what the streams actually moved, so
-  // ratio-of-sums is the service's achieved store compression.
+  // store counters report what the FDK streams and the iterative jobs
+  // actually moved, so ratio-of-sums is the service's achieved store
+  // compression.
   const auto g = small_geometry();  // 12^3 output = 6912 raw bytes
   std::vector<ServiceJob> jobs;
-  for (std::size_t i = 0; i < 3; ++i) jobs.push_back(make_job(i, g));
+  for (std::size_t i = 0; i < 4; ++i) jobs.push_back(make_job(i, g));
   jobs[0].spec.tenant = "alice";
   jobs[1].spec.tenant = "bob";
   jobs[2].spec.tenant = "alice";
   jobs[2].spec.compress_store = true;
   jobs[2].spec.store_bits = 12;
+  jobs[3].spec.tenant = "bob";
+  jobs[3].spec.workload = WorkloadKind::kIterative;
+  jobs[3].spec.iterative.iterations = 2;
+  jobs[3].spec.compress_store = true;
+  jobs[3].spec.store_bits = 12;
 
   pfs::ParallelFileSystem fs;
   stage_jobs(fs, jobs);
@@ -230,9 +263,9 @@ TEST(ServiceAdmission, ByteAccountingTracksAdmissionAndCompression) {
 
   const std::size_t job_bytes = 12 * 12 * 12 * sizeof(float);
   const ServiceStats queued = svc.stats();
-  EXPECT_EQ(queued.admitted_output_bytes, 3 * job_bytes);
+  EXPECT_EQ(queued.admitted_output_bytes, 4 * job_bytes);
   EXPECT_EQ(queued.tenants.at("alice").admitted_output_bytes, 2 * job_bytes);
-  EXPECT_EQ(queued.tenants.at("bob").admitted_output_bytes, job_bytes);
+  EXPECT_EQ(queued.tenants.at("bob").admitted_output_bytes, 2 * job_bytes);
   // Nothing dispatched yet: the measured counters are still zero.
   EXPECT_EQ(queued.store_raw_bytes, 0u);
 
@@ -242,12 +275,17 @@ TEST(ServiceAdmission, ByteAccountingTracksAdmissionAndCompression) {
   }
 
   const ServiceStats done = svc.stats();
-  EXPECT_EQ(done.admitted_output_bytes, 3 * job_bytes);
-  EXPECT_EQ(done.store_raw_bytes, 3 * job_bytes);
-  // One of three volumes stored compressed: fewer bytes hit the PFS than
-  // were handed to the store path.
+  EXPECT_EQ(done.admitted_output_bytes, 4 * job_bytes);
+  // The iterative job's store is counted like the FDK streams'.
+  EXPECT_EQ(done.store_raw_bytes, 4 * job_bytes);
+  // Two of four volumes stored compressed (one FDK, one iterative): fewer
+  // bytes hit the PFS than were handed to the store path.
   EXPECT_LT(done.store_stored_bytes, done.store_raw_bytes);
   EXPECT_GT(done.store_stored_bytes, 2 * job_bytes);
+  // The iterative volume really is in the compressed format.
+  const Volume back = load_volume(fs, jobs[3].spec.output_prefix,
+                                  g.vol_dims(), /*compressed_store=*/true);
+  EXPECT_EQ(back.voxels(), 12u * 12u * 12u);
 }
 
 // ---- Scheduling order -------------------------------------------------------

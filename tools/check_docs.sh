@@ -21,8 +21,8 @@
 # 3. Stale names: identifiers of deleted FDK execution paths, option knobs,
 #    minimpi collectives, the framed row-reduce, the device ledger, the
 #    projector's per-sample sampler (now the test oracle's) and the
-#    iterative workload's segmented volume all-reduce must not reappear in
-#    src/, docs/ or README.md.
+#    iterative workload's segmented volume all-reduce and the unused
+#    common/log layer must not reappear in src/, docs/ or README.md.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -103,6 +103,7 @@ stale+='|wire_compression_ratio|device_model|ForwardProjector::sample'
 stale+='|IterOptions|ForwardOptions|on_iteration|iterative::art'
 stale+='|allreduce_volume|iter_reduce_segments|iter_sweep_tag_budget'
 stale+='|iter_allreduce_bytes_per_sweep|DeviceBuffer'
+stale+='|log_message|IFDK_LOG_|set_log_level'
 if grep -rnE "$stale" src docs README.md; then
   echo "STALE NAME: the lines above name a deleted execution path or knob"
   fail=1
